@@ -142,15 +142,17 @@ def _split_local_dim(r: Matrix, n: int | None) -> int:
 def check_braid(r_check: Matrix, n: int | None = None) -> float:
     """Constant braided Yang-Baxter residual on three strands.
 
-    Embeds R12 = R_check (x) I and R23 = I (x) R_check and returns
-    max |R12 R23 R12 - R23 R12 R23|.
+    Returns max |R12 R23 R12 - R23 R12 R23| with R12 = R_check (x) I and
+    R23 = I (x) R_check, the outer two factors applied by linalg.on_strands.
     """
     r_check = linalg.as_matrix(r_check)
     n = _split_local_dim(r_check, n)
     eye = linalg.identity(n)
     r12 = linalg.kron(r_check, eye)
     r23 = linalg.kron(eye, r_check)
-    return linalg.max_abs(r12 @ r23 @ r12 - r23 @ r12 @ r23)
+    lhs = linalg.on_strands(r_check, linalg.on_strands(r_check, r12, (1, 2), n), (0, 1), n)
+    rhs = linalg.on_strands(r_check, linalg.on_strands(r_check, r23, (0, 1), n), (1, 2), n)
+    return linalg.max_abs(lhs - rhs)
 
 
 def baxterize(b: BraidData, u: complex, tol: float = DEFAULT_TOL) -> Matrix:
@@ -213,10 +215,11 @@ def check_spectral_ybe(
         w = complex(w)
         if u == 0 or w == 0:
             raise ValueError("spectral parameters must be nonzero")
-        r12 = {x: linalg.kron(baxterize(b, x, tol), eye) for x in (u, w, u * w)}
-        r23 = {x: linalg.kron(eye, baxterize(b, x, tol)) for x in (u, w, u * w)}
-        lhs = r12[u] @ r23[u * w] @ r12[w]
-        rhs = r23[w] @ r12[u * w] @ r23[u]
+        r_u, r_w, r_uw = (baxterize(b, x, tol) for x in (u, w, u * w))
+        r12_w = linalg.kron(r_w, eye)
+        r23_u = linalg.kron(eye, r_u)
+        lhs = linalg.on_strands(r_u, linalg.on_strands(r_uw, r12_w, (1, 2), n), (0, 1), n)
+        rhs = linalg.on_strands(r_w, linalg.on_strands(r_uw, r23_u, (0, 1), n), (1, 2), n)
         worst = max(worst, linalg.max_abs(lhs - rhs))
     return worst
 
@@ -240,15 +243,14 @@ def to_plain_r(b: BraidData) -> Matrix:
 def check_ybe(r: Matrix, n: int | None = None) -> float:
     """Constant Yang-Baxter residual max |R12 R13 R23 - R23 R13 R12|.
 
-    R13 is built by conjugating R12 with the swap of sites 2 and 3.
-    Agrees with check_braid(R_check) when r = to_plain_r of the same
-    generator.
+    R13 is R on the outer strands (0, 2) of linalg.on_strands. Agrees with
+    check_braid(R_check) when r = to_plain_r of the same generator.
     """
     r = linalg.as_matrix(r)
     n = _split_local_dim(r, n)
     eye = linalg.identity(n)
     r12 = linalg.kron(r, eye)
     r23 = linalg.kron(eye, r)
-    p23 = linalg.kron(eye, flip_operator(n))
-    r13 = p23 @ r12 @ p23
-    return linalg.max_abs(r12 @ r13 @ r23 - r23 @ r13 @ r12)
+    lhs = linalg.on_strands(r, linalg.on_strands(r, r23, (0, 2), n), (0, 1), n)
+    rhs = linalg.on_strands(r, linalg.on_strands(r, r12, (0, 2), n), (1, 2), n)
+    return linalg.max_abs(lhs - rhs)

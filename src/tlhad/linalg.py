@@ -1,9 +1,10 @@
 """Dense complex matrix kernel.
 
 Row-major complex matrices (numpy complex128 arrays) with the operations
-the higher layers need: products, Kronecker products, LU inversion with
-partial pivoting, entrywise reciprocal, integer matrix powers, roots of
-unity, and tolerance-based comparison. Equality of floating-point
+the higher layers need: products, Kronecker products, the action of a
+two-site operator on two of three sites, LU inversion with partial
+pivoting, entrywise reciprocal, integer matrix powers, roots of unity,
+and tolerance-based comparison. Equality of floating-point
 matrices is always tolerance-based; nothing here compares floats exactly.
 
 JSON serialization keeps complex entries as [re, im] pairs so files
@@ -35,6 +36,7 @@ __all__ = [
     "max_abs",
     "mat_mul",
     "kron",
+    "on_strands",
     "mat_power",
     "inverse",
     "hadamard_inverse",
@@ -158,6 +160,29 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: (a kron b)[i*p + k, j*q + l] = a[i, j] * b[k, l]."""
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+
+
+def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matrix:
+    """(op acting on `strands` of three n-dimensional sites) @ x.
+
+    op is n^2 x n^2 with row index a_i * n + a_j for strands (i, j), i < j;
+    x has n^3 rows. Strands (0, 1) give kron(op, I) @ x, (1, 2) give
+    kron(I, op) @ x, and (0, 2) the same op on the outer pair. One matrix
+    product of size n^2 x n^2 by n^2 x (n * cols) replaces the n^3 x n^3
+    embedding, so no operator larger than op is formed.
+    """
+    op = np.asarray(op)
+    x = np.asarray(x)
+    if op.shape != (n * n, n * n):
+        raise ValueError(f"operator must be {n * n}x{n * n}, got {op.shape}")
+    if x.ndim != 2 or x.shape[0] != n**3:
+        raise ValueError(f"operand must have {n**3} rows, got shape {x.shape}")
+    if strands not in ((0, 1), (1, 2), (0, 2)):
+        raise ValueError(f"strands must be (0, 1), (1, 2) or (0, 2), got {strands}")
+    cols = x.shape[1]
+    front = np.moveaxis(x.reshape(n, n, n, cols), strands, (0, 1))
+    out = (op @ front.reshape(n * n, n * cols)).reshape(n, n, n, cols)
+    return np.moveaxis(out, (0, 1), strands).reshape(n**3, cols)
 
 
 def inverse(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:

@@ -132,8 +132,17 @@ class MasterSpec:
         for idx, pair in enumerate(lambdas):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"eigenvalue {idx} is not a [re, im] pair")
-            vals.append(complex(pair[0], pair[1]))
-        return MasterSpec(tuple(vals), tuple(int(e) for e in exponents))
+            try:
+                z = complex(pair[0], pair[1])
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"eigenvalue {idx} has non-numeric parts: {pair!r}") from exc
+            if any(isinstance(x, bool) for x in pair) or not cmath.isfinite(z):
+                raise ValueError(f"eigenvalue {idx} needs finite numeric parts, got {pair!r}")
+            vals.append(z)
+        for idx, e in enumerate(exponents):
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValueError(f"exponent {idx} must be an integer, got {e!r}")
+        return MasterSpec(tuple(vals), tuple(exponents))
 
 
 @dataclass(frozen=True)

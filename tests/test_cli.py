@@ -412,3 +412,27 @@ class TestErrors:
     def test_bad_complex_literal(self, capsys, workdir):
         code, out, err = run(capsys, "gen", "f4", "--a", "zebra")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"lambdas": [[1, 0], [-1, 0]], "exponents": [0, None]},
+            {"lambdas": [[1, 0], [-1, 0]], "exponents": [0, True]},
+            {"lambdas": [[1, 0], [-1, 0]], "exponents": [0, 1.0]},
+            {"lambdas": [[1, 0], [-1, 0]], "exponents": [0, "1"]},
+            {"lambdas": [[float("nan"), 0], [1, 0]], "exponents": [0, 1]},
+            {"lambdas": [[1, float("inf")], [1, 0]], "exponents": [0, 1]},
+            {"lambdas": [["1", 0], [-1, 0]], "exponents": [0, 1]},
+            {"lambdas": [[None, 0], [-1, 0]], "exponents": [0, 1]},
+            {"lambdas": [[True, 0], [-1, 0]], "exponents": [0, 1]},
+            {"lambdas": [[10**400, 0], [-1, 0]], "exponents": [0, 1]},
+        ],
+        ids=["null_exponent", "bool_exponent", "float_exponent", "string_exponent",
+             "nan_part", "inf_part", "string_part", "null_part", "bool_part", "huge_int_part"],
+    )
+    def test_malformed_master_spec_exits_2(self, capsys, workdir, spec):
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        code, out, err = run(capsys, "check", "master", "--spec", "spec.json")
+        assert code == 2
+        assert out == ""
+        assert "eigenvalue" in err or "exponent" in err

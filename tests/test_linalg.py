@@ -27,6 +27,7 @@ from tlhad.linalg import (
     matrix_to_dict,
     matrix_unit,
     max_abs,
+    on_strands,
     unit_root,
     zeros,
 )
@@ -120,6 +121,30 @@ class TestArithmetic:
                     for q in range(2):
                         expected[i * 3 + p, j * 2 + q] = a[i, j] * b[p, q]
         assert approx_eq(k, expected, 1e-14).ok
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_on_strands_matches_kron_product(self, n):
+        rng = np.random.default_rng(n)
+        shape = (n * n, n * n)
+        op = as_matrix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        x = as_matrix(rng.normal(size=(n**3, n**3)) + 1j * rng.normal(size=(n**3, n**3)))
+        eye = identity(n)
+        swap23 = kron(eye, as_matrix(np.eye(n * n)[[j * n + i for i in range(n) for j in range(n)]]))
+        embedded = {
+            (0, 1): kron(op, eye),
+            (1, 2): kron(eye, op),
+            (0, 2): swap23 @ kron(op, eye) @ swap23,
+        }
+        for strands, full in embedded.items():
+            assert approx_eq(on_strands(op, x, strands, n), full @ x, 1e-13).ok, strands
+
+    def test_on_strands_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            on_strands(identity(4), identity(8), (0, 3), 2)
+        with pytest.raises(ValueError):
+            on_strands(identity(4), identity(4), (0, 1), 2)
+        with pytest.raises(ValueError):
+            on_strands(identity(9), identity(8), (0, 1), 2)
 
     def test_dagger(self):
         m = as_matrix([[1 + 2j, 3], [0, -1j]])

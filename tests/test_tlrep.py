@@ -1,11 +1,12 @@
 """Tests for the rank-n generator ansatz and the algebra checks it feeds."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from tlhad.hadamard import dephase, fourier, is_ghm
+from tlhad.hadamard import dephase, f4_family, fourier, is_ghm
 from tlhad.linalg import (
     approx_eq,
     as_matrix,
@@ -18,7 +19,15 @@ from tlhad.linalg import (
     unit_root,
     zeros,
 )
-from tlhad.master import MasterSpec, f4_master, fourier_master, master_matrix
+from tlhad.master import (
+    MasterSpec,
+    NestingSpec,
+    NestingStage,
+    f4_master,
+    fourier_master,
+    master_matrix,
+    nest,
+)
 from tlhad.tlrep import (
     TLAnsatz,
     build_local_generator,
@@ -32,6 +41,7 @@ from tlhad.tlrep import (
     gauge_transform,
     reconstruct_m,
     verify_tl,
+    verify_tl_local,
     weighted_hadamard_check,
 )
 
@@ -189,6 +199,75 @@ class TestVerifyTL:
             "nu",
         }
         assert d["nu"][0] == pytest.approx(3.0)
+
+
+def dense_tl_residuals(t_local, nu, sites):
+    """Reference: every relation on the full n^sites chain of embed() generators."""
+    n = math.isqrt(t_local.shape[0])
+    gens = [embed(t_local, i, sites, n) for i in range(1, sites)]
+    loop = max(max_abs(t @ t - nu * t) for t in gens)
+    braid = 0.0
+    for a, b in zip(gens, gens[1:]):
+        braid = max(braid, max_abs(a @ b @ a - nu * a), max_abs(b @ a @ b - nu * b))
+    commute = 0.0
+    for i in range(len(gens)):
+        for j in range(i + 2, len(gens)):
+            commute = max(commute, max_abs(gens[i] @ gens[j] - gens[j] @ gens[i]))
+    return loop, braid, commute
+
+
+def off_grid_spec(n):
+    """Unimodular eigenvalues with unequal offsets from the Fourier grid: no master spec."""
+    offsets = (0.2, 0.35, 0.25, 0.3)[:n]
+    lambdas = tuple(cmath.exp(2j * math.pi * (a + d) / n) for a, d in enumerate(offsets))
+    return MasterSpec(lambdas, tuple(range(n)))
+
+
+ORACLE_CASES = {
+    "fourier2": (fourier_master(2), fourier(2)),
+    "fourier3": (fourier_master(3), fourier(3)),
+    "fourier4": (fourier_master(4), fourier(4)),
+    "f4": (f4_master(1, 1), f4_family(cmath.exp(0.7j))),
+    "nested22": (nest(NestingSpec((NestingStage(2), NestingStage(2)))), fourier(4)),
+    "control2": (off_grid_spec(2), fourier(2)),
+    "control3": (off_grid_spec(3), fourier(3)),
+    "control4": (off_grid_spec(4), fourier(4)),
+}
+
+
+class TestVerifyTLAgainstDenseChain:
+    # Every cell with 3 <= sites <= 5 and n^sites <= 729; (n, sites) = (4, 5)
+    # would take seconds per dense product.
+    @pytest.mark.parametrize(
+        "case, sites",
+        [
+            (case, sites)
+            for case, (spec, _) in ORACLE_CASES.items()
+            for sites in (3, 4, 5)
+            if spec.size**sites <= 729
+        ],
+    )
+    def test_matches_dense_chain(self, case, sites):
+        spec, h = ORACLE_CASES[case]
+        n = spec.size
+        a = TLAnsatz(reconstruct_m(master_matrix(spec), h, spec.lambdas), spec.exponents, sites=sites)
+        t = build_local_generator(a)
+        report = verify_tl_local(t, a.alpha, sites)
+        loop, braid, commute = dense_tl_residuals(t, a.alpha, sites)
+        scale = max_abs(t)
+        # Rounding differs between the two orders of summation; beyond that
+        # floor the residuals must agree to a relative 1e-9.
+        floor = 1e-14 * n**2 * scale**3
+        assert abs(report.loop_residual - loop) <= 1e-9 * loop + floor
+        assert abs(report.braid_residual - braid) <= 1e-9 * braid + floor
+        assert report.commute_residual == 0.0
+        assert commute <= 1e-15 * scale**2
+        assert report.ok() == (max(loop, braid, commute) <= 1e-9)
+        assert report.ok() == (not case.startswith("control"))
+
+    def test_site_count_does_not_change_the_report(self):
+        # Dense, six sites of n = 8 would be 262144 x 262144 matrices.
+        assert verify_tl(reconstructed_ansatz(8, sites=6)) == verify_tl(reconstructed_ansatz(8, sites=3))
 
 
 class TestMaster4:
