@@ -55,6 +55,8 @@ class BraidData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "nu", complex(self.nu))
+        if self.q == 0:
+            raise ValueError("Hecke parameter q must be nonzero")
         object.__setattr__(self, "r_check", linalg.as_matrix(self.r_check))
         linalg._require_square(self.r_check, "braid generator")
 
@@ -69,25 +71,19 @@ class BraidData:
 
     def to_dict(self) -> dict:
         return {
-            "q": [self.q.real, self.q.imag],
-            "nu": [self.nu.real, self.nu.imag],
+            "q": linalg.complex_to_json(self.q),
+            "nu": linalg.complex_to_json(self.nu),
             "r_check": linalg.matrix_to_dict(self.r_check),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "BraidData":
-        if not isinstance(data, dict):
-            raise ValueError("braid document must be a JSON object")
-        try:
-            q = data["q"]
-            nu = data["nu"]
-            r_check = linalg.matrix_from_dict(data["r_check"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"braid document missing field: {exc}") from exc
-        for name, pair in (("q", q), ("nu", nu)):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"{name} must be a [re, im] pair")
-        return BraidData(complex(q[0], q[1]), complex(nu[0], nu[1]), r_check)
+        q, nu, r_check = linalg.json_fields(data, "braid", "q", "nu", "r_check")
+        return BraidData(
+            linalg.json_complex(q, "q"),
+            linalg.json_complex(nu, "nu"),
+            linalg.matrix_from_dict(r_check),
+        )
 
 
 def q_from_nu(nu: complex) -> complex:
@@ -209,13 +205,15 @@ def check_spectral_ybe(
         samples = spectral_samples(count, seed)
     n = b.local_dim
     eye = linalg.identity(n)
+    rinv = linalg.inverse(b.r_check, tol)
     worst = 0.0
     for u, w in samples:
         u = complex(u)
         w = complex(w)
-        if u == 0 or w == 0:
+        if 0 in (u, w, u * w):
             raise ValueError("spectral parameters must be nonzero")
-        r_u, r_w, r_uw = (baxterize(b, x, tol) for x in (u, w, u * w))
+        # baxterize(b, x) for x = u, w, uw, from the one inverse of R_check.
+        r_u, r_w, r_uw = (x * b.r_check - (1 / x) * rinv for x in (u, w, u * w))
         r12_w = linalg.kron(r_w, eye)
         r23_u = linalg.kron(eye, r_u)
         lhs = linalg.on_strands(r_u, linalg.on_strands(r_uw, r12_w, (1, 2), n), (0, 1), n)

@@ -13,6 +13,7 @@ stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -45,7 +46,8 @@ def _load_json(path: str):
 
 
 def _render(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # Strict JSON: a NaN or infinite value raises ValueError, which main reports.
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -58,9 +60,12 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace(" ", ""))
+        z = complex(text.strip().replace(" ", ""))
     except ValueError as exc:
         raise ValueError(f"cannot parse complex number from {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def _parse_complex_csv(text: str) -> tuple[complex, ...]:
@@ -77,10 +82,6 @@ def _parse_int_csv(text: str) -> tuple[int, ...]:
 def _finite(x: float) -> float | None:
     # JSON has no Infinity literal; an undefined residual serializes as null.
     return x if x == x and abs(x) != float("inf") else None
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 # ---------------------------------------------------------------- gen --
@@ -242,8 +243,8 @@ def _check_hecke(args) -> tuple[dict, bool]:
     payload = {
         "check": "hecke",
         "ok": ok,
-        "q": _pair(b.q),
-        "nu": _pair(b.nu),
+        "q": linalg.complex_to_json(b.q),
+        "nu": linalg.complex_to_json(b.nu),
         "hecke_residual": residual,
         "tol": args.tol,
     }
@@ -275,11 +276,11 @@ def _check_ybe(args) -> tuple[dict, bool]:
     payload = {
         "check": "ybe",
         "ok": ok,
-        "q": _pair(b.q),
-        "nu": _pair(b.nu),
+        "q": linalg.complex_to_json(b.q),
+        "nu": linalg.complex_to_json(b.nu),
         "braid_residual": braid_residual,
         "spectral_worst": spectral_worst,
-        "samples": [[_pair(u), _pair(w)] for u, w in samples],
+        "samples": linalg.complex_to_json(samples),
         "tol": args.tol,
         "spectral_tol": spectral_tol,
     }
@@ -296,7 +297,7 @@ def _check_weighted_hadamard(args) -> tuple[dict, bool]:
         "check": "weighted-hadamard",
         "ok": result.ok,
         "residual": result.max_residual,
-        "alpha": _pair(alpha),
+        "alpha": linalg.complex_to_json(alpha),
         "tol": args.tol,
     }
     return payload, result.ok
@@ -497,10 +498,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         payload, ok = args.handler(args)
+        _emit(payload, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.out)
     return 0 if ok else 1
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "ghm_residual",
     "is_ghm",
     "butson_residual",
+    "butson_order",
     "is_butson",
     "fourier",
     "f4_family",
@@ -197,6 +198,11 @@ def butson_residual(u: Matrix, q: int) -> float:
     return linalg.max_abs(u - nearest)
 
 
+def butson_order(u: Matrix, tol: float, limit: int) -> int | None:
+    """Minimal q <= limit with butson_residual(u, q) <= tol, or None."""
+    return next((q for q in range(1, limit + 1) if butson_residual(u, q) <= tol), None)
+
+
 def is_butson(u: Matrix, q: int, tol: float = DEFAULT_TOL) -> bool:
     """True iff u is a CHM whose entries are all q-th roots of unity."""
     return is_chm(u, tol) and butson_residual(u, q) <= tol
@@ -213,12 +219,7 @@ def is_ghm(u: Matrix, tol: float = DEFAULT_TOL, butson_limit: int = BUTSON_SCAN_
     r_ghm = ghm_residual(u, tol)
     ghm_ok = r_ghm <= tol
     chm_ok = chm_residual(u) <= tol
-    order: int | None = None
-    if chm_ok:
-        for q in range(1, butson_limit + 1):
-            if butson_residual(u, q) <= tol:
-                order = q
-                break
+    order = butson_order(u, tol, butson_limit) if chm_ok else None
     return HadamardVerdict(chm_ok, ghm_ok, order, r_ghm)
 
 

@@ -1,46 +1,46 @@
 """Dense complex matrix kernel.
 
 Row-major complex matrices (numpy complex128 arrays) with the operations
-the higher layers need: products, Kronecker products, the action of a
-two-site operator on two of three sites, LU inversion with partial
-pivoting, entrywise reciprocal, integer matrix powers, roots of unity,
-and tolerance-based comparison. Equality of floating-point
-matrices is always tolerance-based; nothing here compares floats exactly.
+the higher layers need: Kronecker products, the action of a two-site
+operator on two of three sites, LU inversion with partial pivoting,
+entrywise reciprocal, roots of unity, and tolerance-based comparison.
+Equality of floating-point matrices is always tolerance-based; nothing
+here compares floats exactly.
 
-JSON serialization keeps complex entries as [re, im] pairs so files
-round-trip bit-exactly through the standard json module.
+The JSON codec of every wire format lives here too. A complex number
+travels as an [re, im] pair of finite JSON numbers, so files round-trip
+bit-exactly through the standard json module; integer fields must be
+JSON integers. The readers raise ValueError naming the offending field.
 """
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
-    "FIXTURE_TOL",
     "Matrix",
-    "Tolerance",
     "SingularMatrixError",
     "Comparison",
     "as_matrix",
     "identity",
     "zeros",
     "diag",
-    "matrix_unit",
     "unit_root",
     "dagger",
     "max_abs",
-    "mat_mul",
     "kron",
     "on_strands",
-    "mat_power",
     "inverse",
     "hadamard_inverse",
     "approx_eq",
+    "json_fields",
+    "json_int",
+    "json_complex",
+    "json_list",
+    "complex_to_json",
     "matrix_to_dict",
     "matrix_from_dict",
 ]
@@ -48,28 +48,12 @@ __all__ = [
 #: Default absolute tolerance for residual checks.
 DEFAULT_TOL = 1e-9
 
-#: Tighter tolerance for comparisons against hard-coded reference matrices.
-FIXTURE_TOL = 1e-12
-
 #: A dense complex matrix: 2-D numpy array of complex128, row-major.
 Matrix = np.ndarray
 
 
 class SingularMatrixError(ValueError):
     """A pivot fell below the relative singularity threshold during LU."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Pair of absolute tolerances: loose residual bound, tight fixture bound."""
-
-    abs_tol: float = DEFAULT_TOL
-    fixture_tol: float = FIXTURE_TOL
-
-    def __post_init__(self) -> None:
-        for value in (self.abs_tol, self.fixture_tol):
-            if not math.isfinite(value) or value < 0:
-                raise ValueError("tolerances must be finite and nonnegative")
 
 
 class Comparison(NamedTuple):
@@ -121,15 +105,6 @@ def diag(values: Sequence[complex]) -> Matrix:
     return np.diag(vals)
 
 
-def matrix_unit(i: int, j: int, n: int) -> Matrix:
-    """n x n matrix unit e_ij: 1 at row i, column j (0-based), 0 elsewhere."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"matrix unit index ({i}, {j}) out of range for size {n}")
-    out = zeros(n, n)
-    out[i, j] = 1.0
-    return out
-
-
 def unit_root(k: int, m: int) -> complex:
     """The root of unity exp(2*pi*i*k/m). Requires m >= 1."""
     if m < 1:
@@ -146,15 +121,6 @@ def max_abs(a: Matrix) -> float:
     """Largest entry magnitude (0.0 for an empty array)."""
     arr = np.asarray(a)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for product: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -218,22 +184,6 @@ def inverse(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     return x
 
 
-def mat_power(m: Matrix, k: int, tol: float = DEFAULT_TOL) -> Matrix:
-    """Integer matrix power by repeated multiplication.
-
-    Negative powers go through inverse() and therefore raise
-    SingularMatrixError on singular input.
-    """
-    m = as_matrix(m)
-    n = _require_square(m)
-    k = int(k)
-    base = m if k >= 0 else inverse(m, tol)
-    out = identity(n)
-    for _ in range(abs(k)):
-        out = out @ base
-    return out
-
-
 def hadamard_inverse(a: Matrix) -> Matrix:
     """Entrywise reciprocal: out[i, j] = 1 / a[i, j].
 
@@ -258,41 +208,82 @@ def approx_eq(a: Matrix, b: Matrix, tol: float = DEFAULT_TOL) -> Comparison:
     return Comparison(residual <= tol, residual)
 
 
+def json_fields(data, what: str, *keys: str) -> tuple:
+    """Values of the required `keys` of the JSON object `data`, in order.
+
+    `what` names the document in the error for a non-object or a missing key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} document missing field {key!r}")
+    return tuple(data[key] for key in keys)
+
+
+def _is_json_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer. Bools and floats, integral ones too, raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_complex(value, what: str) -> complex:
+    """An [re, im] pair of finite JSON numbers (int or float, not bool) as a complex."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and _is_json_number(value[0])
+        and _is_json_number(value[1])
+    ):
+        raise ValueError(f"{what} must be a [re, im] pair of JSON numbers, got {value!r}")
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError as exc:
+        raise ValueError(f"{what} has a part beyond the floating-point range") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} must have finite parts, got {value!r}")
+    return z
+
+
+def json_list(value, what: str, read: Callable) -> list:
+    """The JSON array `value` with read(item, f"{what} {index}") applied to each item."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} list must be a JSON array, got {type(value).__name__}")
+    return [read(item, f"{what} {idx}") for idx, item in enumerate(value)]
+
+
+def complex_to_json(z) -> list:
+    """[re, im] pairs of a complex scalar or array, nested as the array is.
+
+    A scalar gives one pair, a vector a list of pairs. The parts are the
+    float64 values themselves, so json.dumps writes each exactly (-0.0 too).
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
 def matrix_to_dict(m: Matrix) -> dict:
     """Serialize to {"rows", "cols", "entries"} with row-major [re, im] pairs."""
     m = as_matrix(m)
     rows, cols = m.shape
-    flat = m.reshape(-1)
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"rows": rows, "cols": cols, "entries": complex_to_json(m.reshape(-1))}
 
 
 def matrix_from_dict(data: dict) -> Matrix:
     """Inverse of matrix_to_dict, with validation of shape and entry format."""
-    if not isinstance(data, dict):
-        raise ValueError("matrix document must be a JSON object")
-    try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
-        entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"matrix document missing or malformed field: {exc}") from exc
+    rows, cols, entries = json_fields(data, "matrix", "rows", "cols", "entries")
+    rows = json_int(rows, "rows")
+    cols = json_int(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if not isinstance(entries, list) or len(entries) != rows * cols:
+    flat = json_list(entries, "entry", json_complex)
+    if len(flat) != rows * cols:
         raise ValueError(
-            f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-            f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
+            f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
         )
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for idx, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"entry {idx} is not a [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise ValueError(f"entry {idx} has non-numeric parts")
-        flat[idx] = complex(re, im)
-    return as_matrix(flat.reshape(rows, cols))
+    return np.array(flat, dtype=np.complex128).reshape(rows, cols)

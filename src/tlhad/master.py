@@ -113,36 +113,17 @@ class MasterSpec:
 
     def to_dict(self) -> dict:
         return {
-            "lambdas": [[float(z.real), float(z.imag)] for z in self.lambdas],
+            "lambdas": linalg.complex_to_json(self.lambdas),
             "exponents": list(self.exponents),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "MasterSpec":
-        if not isinstance(data, dict):
-            raise ValueError("master spec document must be a JSON object")
-        try:
-            lambdas = data["lambdas"]
-            exponents = data["exponents"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"master spec document missing field: {exc}") from exc
-        if not isinstance(lambdas, list) or not isinstance(exponents, list):
-            raise ValueError("lambdas and exponents must be JSON arrays")
-        vals = []
-        for idx, pair in enumerate(lambdas):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"eigenvalue {idx} is not a [re, im] pair")
-            try:
-                z = complex(pair[0], pair[1])
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"eigenvalue {idx} has non-numeric parts: {pair!r}") from exc
-            if any(isinstance(x, bool) for x in pair) or not cmath.isfinite(z):
-                raise ValueError(f"eigenvalue {idx} needs finite numeric parts, got {pair!r}")
-            vals.append(z)
-        for idx, e in enumerate(exponents):
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise ValueError(f"exponent {idx} must be an integer, got {e!r}")
-        return MasterSpec(tuple(vals), tuple(exponents))
+        lambdas, exponents = linalg.json_fields(data, "master spec", "lambdas", "exponents")
+        return MasterSpec(
+            tuple(linalg.json_list(lambdas, "eigenvalue", linalg.json_complex)),
+            tuple(linalg.json_list(exponents, "exponent", linalg.json_int)),
+        )
 
 
 @dataclass(frozen=True)
@@ -194,21 +175,18 @@ class NestingSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "NestingSpec":
-        if not isinstance(data, dict) or not isinstance(data.get("stages"), list):
-            raise ValueError("nesting document must be an object with a 'stages' array")
-        stages = []
-        for idx, rec in enumerate(data["stages"]):
-            if not isinstance(rec, dict) or "p" not in rec:
-                raise ValueError(f"stage {idx} must be an object with at least 'p'")
-            stages.append(
-                NestingStage(
-                    p=rec["p"],
-                    k=rec.get("k", 1),
-                    g=tuple(rec.get("g", ())),
-                    f=tuple(rec.get("f", ())),
-                )
-            )
-        return NestingSpec(tuple(stages))
+        (records,) = linalg.json_fields(data, "nesting", "stages")
+        return NestingSpec(tuple(linalg.json_list(records, "stage", _stage_from_dict)))
+
+
+def _stage_from_dict(data: dict, what: str) -> NestingStage:
+    (p,) = linalg.json_fields(data, what, "p")
+    return NestingStage(
+        p=linalg.json_int(p, f"{what} p"),
+        k=linalg.json_int(data.get("k", 1), f"{what} k"),
+        g=tuple(linalg.json_list(data.get("g", ()), f"{what} g", linalg.json_int)),
+        f=tuple(linalg.json_list(data.get("f", ()), f"{what} f", linalg.json_int)),
+    )
 
 
 class MasterConditionCheck(NamedTuple):
@@ -340,13 +318,6 @@ def nest(spec: NestingSpec) -> MasterSpec:
     return MasterSpec(tuple(lambdas), tuple(exponents))
 
 
-def _minimal_root_order(u: Matrix, tol: float, max_order: int) -> int | None:
-    for q in range(1, max_order + 1):
-        if hadamard.butson_residual(u, q) <= tol:
-            return q
-    return None
-
-
 def _distinct_row_count(u: Matrix, tol: float) -> int:
     reps: list[np.ndarray] = []
     for row in u:
@@ -371,7 +342,7 @@ def pigeonhole_obstruction(
     linalg._require_square(u, "obstruction input")
     if float(np.max(np.abs(np.abs(u) - 1.0))) > tol:
         return None
-    order = _minimal_root_order(u, tol, max_order)
+    order = hadamard.butson_order(u, tol, max_order)
     if order is None:
         return None
     rows = _distinct_row_count(u, tol)

@@ -105,36 +105,26 @@ class TLAnsatz:
         return {
             "m": linalg.matrix_to_dict(self.m),
             "exponents": list(self.exponents),
-            "v": [[float(z.real), float(z.imag)] for z in self.v],
-            "w": [[float(z.real), float(z.imag)] for z in self.w],
+            "v": linalg.complex_to_json(self.v),
+            "w": linalg.complex_to_json(self.w),
             "sites": self.sites,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "TLAnsatz":
-        if not isinstance(data, dict):
-            raise ValueError("ansatz document must be a JSON object")
-        try:
-            m = linalg.matrix_from_dict(data["m"])
-            exponents = tuple(int(e) for e in data["exponents"])
-            sites = int(data["sites"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"ansatz document missing field: {exc}") from exc
-
-        def _weights(key: str) -> tuple[complex, ...] | None:
-            if key not in data:
-                return None
-            seq = data[key]
-            if not isinstance(seq, list):
-                raise ValueError(f"{key} must be a JSON array of [re, im] pairs")
-            out = []
-            for idx, pair in enumerate(seq):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ValueError(f"{key}[{idx}] is not a [re, im] pair")
-                out.append(complex(pair[0], pair[1]))
-            return tuple(out)
-
-        return TLAnsatz(m, exponents, _weights("v"), _weights("w"), sites)
+        m, exponents, sites = linalg.json_fields(data, "ansatz", "m", "exponents", "sites")
+        weights = {
+            key: tuple(linalg.json_list(data[key], key, linalg.json_complex))
+            for key in ("v", "w")
+            if key in data
+        }
+        return TLAnsatz(
+            linalg.matrix_from_dict(m),
+            tuple(linalg.json_list(exponents, "exponent", linalg.json_int)),
+            weights.get("v"),
+            weights.get("w"),
+            linalg.json_int(sites, "sites"),
+        )
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,7 @@ class TLReport:
             "loop_residual": self.loop_residual,
             "braid_residual": self.braid_residual,
             "commute_residual": self.commute_residual,
-            "nu": [float(self.nu.real), float(self.nu.imag)],
+            "nu": linalg.complex_to_json(self.nu),
         }
 
 

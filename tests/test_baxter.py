@@ -20,6 +20,7 @@ from tlhad.baxter import (
     spectral_samples,
     to_plain_r,
 )
+from tlhad import linalg
 from tlhad.hadamard import fourier
 from tlhad.linalg import (
     approx_eq,
@@ -28,6 +29,7 @@ from tlhad.linalg import (
     inverse,
     kron,
     max_abs,
+    on_strands,
     zeros,
 )
 from tlhad.master import fourier_master, master_matrix
@@ -45,6 +47,19 @@ def braid_from_spec(n):
     m = reconstruct_m(master_matrix(spec), fourier(n), spec.lambdas)
     a = TLAnsatz(m, spec.exponents)
     return braid_from_tl(build_local_generator(a), a.alpha)
+
+
+def spectral_ybe_by_baxterize(b, samples):
+    """Reference: each spectral generator from baxterize, one inverse per call of it."""
+    n = b.local_dim
+    eye = identity(n)
+    worst = 0.0
+    for u, w in samples:
+        r_u, r_w, r_uw = (baxterize(b, x) for x in (u, w, u * w))
+        lhs = on_strands(r_u, on_strands(r_uw, kron(r_w, eye), (1, 2), n), (0, 1), n)
+        rhs = on_strands(r_w, on_strands(r_uw, kron(eye, r_u), (0, 1), n), (1, 2), n)
+        worst = max(worst, max_abs(lhs - rhs))
+    return worst
 
 
 class TestQFromNu:
@@ -203,6 +218,32 @@ class TestSpectralYbe:
     def test_braid_violation_shows_up(self):
         bad = BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
         assert check_spectral_ybe(bad, count=5, seed=42) > 1e-3
+
+    @pytest.mark.parametrize("source", ["spec2", "spec3", "fixture_u2", "violation"])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_one_inverse_and_residual_of_per_sample_baxterize(self, monkeypatch, source, seed):
+        if source == "fixture_u2":
+            a = fixture_u2_ansatz()
+            b = braid_from_tl(build_local_generator(a), a.alpha)
+        elif source == "violation":
+            b = BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
+        else:
+            b = braid_from_spec(int(source[-1]))
+        samples = spectral_samples(20, seed)
+        expected = spectral_ybe_by_baxterize(b, samples)
+        calls = []
+
+        def counting_inverse(*args, **kwargs):
+            calls.append(args)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "inverse", counting_inverse)
+        assert check_spectral_ybe(b, samples) == expected
+        assert len(calls) == 1
+
+    def test_zero_hecke_parameter_rejected(self):
+        with pytest.raises(ValueError, match="q must be nonzero"):
+            BraidData(0, 4, identity(4))
 
 
 class TestPlainYbe:

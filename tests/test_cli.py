@@ -1,15 +1,29 @@
 """End-to-end tests for the command line interface."""
 
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tlhad.baxter import braid_from_tl
 from tlhad.cli import main, read_matrix, write_matrix
 from tlhad.hadamard import fourier
-from tlhad.linalg import approx_eq, as_matrix
-from tlhad.master import fourier_master, h0
-from tlhad.tlrep import fixture_u2, fixture_u2_ansatz
+from tlhad.linalg import approx_eq, as_matrix, matrix_to_dict
+from tlhad.master import fourier_master, h0, master_matrix
+from tlhad.tlrep import (
+    TLAnsatz,
+    build_local_generator,
+    fixture_u2,
+    fixture_u2_ansatz,
+    reconstruct_m,
+)
 
 
 def run(capsys, *argv):
@@ -22,6 +36,13 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+CHM = ["check", "chm", "--matrix"]
+SCALAR = {"rows": 1, "cols": 1, "entries": [[1, 0]]}
+MATRIX = {"rows": 2, "cols": 2, "entries": [[1, 0], [1, 0], [1, 0], [-1, 0]]}
+ANSATZ = {"m": MATRIX, "exponents": [0, 1], "sites": 3}
+BRAID = {"q": [0.5, 0.5], "nu": [2, 0], "r_check": matrix_to_dict(np.eye(4))}
 
 
 @pytest.fixture
@@ -436,3 +457,114 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "eigenvalue" in err or "exponent" in err
+
+    @pytest.mark.parametrize(
+        "argv, doc, field",
+        [
+            (["check", "tl", "--ansatz"], ANSATZ | {"v": [[None, 0], [1, 0]]}, "v 0"),
+            (["check", "tl", "--ansatz"], ANSATZ | {"v": [["1", 0], [1, 0]]}, "v 0"),
+            (["check", "hecke", "--braid"], BRAID | {"q": [None, 0]}, "q must"),
+            (["check", "hecke", "--braid"], BRAID | {"nu": [2, "0"]}, "nu must"),
+            (["check", "hecke", "--braid"], BRAID | {"q": [float("nan"), 0]}, "q must"),
+            (["check", "hecke", "--braid"], BRAID | {"q": [0, 0]}, "q must"),
+            (["gen", "nest", "--stages"], {"stages": [{"p": 2, "g": [None, 0]}]}, "stage 0 g"),
+            (["gen", "nest", "--stages"], {"stages": [{"p": 2.5}]}, "stage 0 p"),
+            (CHM, SCALAR | {"entries": [[1e308, 1e308]]}, "JSON"),
+            (
+                ["check", "weighted-hadamard", "--v", "1,nan", "--w", "1,1", "--alpha", "2"]
+                + ["--omega"],
+                MATRIX,
+                "nan",
+            ),
+            (["check", "tl", "--ansatz"], ANSATZ | {"exponents": [0, 2.7]}, "exponent"),
+            (["check", "tl", "--ansatz"], ANSATZ | {"exponents": [0, "2"]}, "exponent"),
+            (["check", "tl", "--ansatz"], ANSATZ | {"sites": 3.9}, "sites"),
+            (CHM, SCALAR | {"rows": 1.5}, "rows"),
+            (CHM, SCALAR | {"rows": "1"}, "rows"),
+            (CHM, SCALAR | {"entries": [[True, False]]}, "entry 0"),
+        ],
+        ids=[
+            "ansatz_null_weight", "ansatz_string_weight", "braid_null_q", "braid_string_nu",
+            "braid_nan_q", "braid_zero_q", "nesting_null_g", "nesting_fractional_p",
+            "overflowing_residual", "nan_weight_flag", "fractional_exponent",
+            "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
+            "bool_entry",
+        ],
+    )
+    def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):
+        (workdir / "in.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "in.json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and field in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _wire_docs():
+    """verb argv -> one valid document of each wire format it reads."""
+    spec = fourier_master(2)
+    m = reconstruct_m(master_matrix(spec), fourier(2), spec.lambdas)
+    ansatz = TLAnsatz(m, spec.exponents, v=(1, 1j), w=(1, -1j))
+    braid = braid_from_tl(build_local_generator(ansatz), ansatz.alpha)
+    stages = [{"p": 2, "k": 1, "g": [0, 1], "f": [0, 0]}, {"p": 2, "g": [0, 0], "f": [1, 0]}]
+    return [
+        (["check", "ghm", "--matrix"], matrix_to_dict(fourier(2))),
+        (["check", "master", "--spec"], fourier_master(3).to_dict()),
+        (["check", "tl", "--ansatz"], ansatz.to_dict()),
+        (["check", "ybe", "--samples", "2", "--braid"], braid.to_dict()),
+        (["gen", "nest", "--stages"], {"stages": stages}),
+    ]
+
+
+WIRE_DOCS = _wire_docs()
+MUTATIONS = [None, True, False, "1", float("nan"), float("inf"), float("-inf"), 2.5, "drop"]
+
+
+def _node_paths(doc, prefix=()):
+    """Key/index paths to every node below the root of a JSON document."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutate(doc, path, mutation):
+    """Replace the node at `path`; "drop" deletes a key or shortens a list there."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation != "drop":
+        parent[path[-1]] = mutation
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        del parent[path[-1]:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_mutated_leaf_keeps_the_wire_contract(data):
+    argv, doc = data.draw(st.sampled_from(WIRE_DOCS))
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    _mutate(doc, path, data.draw(st.sampled_from(MUTATIONS)))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = os.path.join(tmp, "in.json")
+        with open(doc_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + [doc_path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

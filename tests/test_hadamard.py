@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tlhad.hadamard import (
     EquivalenceMove,
     apply_equivalence,
+    butson_order,
     butson_residual,
     chm_residual,
     dephase,
@@ -158,6 +159,11 @@ class TestButson:
         # F4 at a = i is a fourth-root matrix and not a q-th-root matrix
         # for any q < 4.
         assert is_ghm(f4_family(1j)).butson_order == 4
+
+    def test_butson_order_scan_stops_at_its_limit(self):
+        assert butson_order(fourier(6), 1e-9, 36) == 6
+        assert butson_order(fourier(6), 1e-9, 5) is None
+        assert butson_order(f4_family(2), 1e-9, 48) is None
 
 
 class TestEquivalenceMoves:

@@ -1,31 +1,31 @@
 """Tests for the dense complex matrix substrate."""
 
+import ast
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlhad import linalg
 from tlhad.linalg import (
-    DEFAULT_TOL,
     Comparison,
     SingularMatrixError,
-    Tolerance,
     approx_eq,
     as_matrix,
+    complex_to_json,
     dagger,
     diag,
     hadamard_inverse,
     identity,
     inverse,
     kron,
-    mat_mul,
-    mat_power,
     matrix_from_dict,
     matrix_to_dict,
-    matrix_unit,
     max_abs,
     on_strands,
     unit_root,
@@ -66,16 +66,6 @@ class TestConstructors:
         d = diag([1j, 2])
         assert d[0, 0] == 1j and d[1, 1] == 2 and d[0, 1] == 0
 
-    def test_matrix_unit(self):
-        e = matrix_unit(1, 2, 3)
-        expected = np.zeros((3, 3), dtype=np.complex128)
-        expected[1, 2] = 1
-        assert np.array_equal(e, expected)
-
-    def test_matrix_unit_bounds(self):
-        with pytest.raises(ValueError):
-            matrix_unit(3, 0, 3)
-
 
 class TestUnitRoot:
     def test_trivial(self):
@@ -100,14 +90,6 @@ class TestUnitRoot:
 
 
 class TestArithmetic:
-    def test_mat_mul_fourier_two_squared(self):
-        f2 = as_matrix([[1, 1], [1, -1]])
-        assert approx_eq(mat_mul(f2, f2), 2 * identity(2), 1e-15).ok
-
-    def test_mat_mul_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_mul(identity(2), identity(3))
-
     def test_kron_matches_index_formula(self):
         rng = np.random.default_rng(0)
         a = as_matrix(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
@@ -163,8 +145,8 @@ class TestInverse:
                 rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             ) + n * identity(n)
             inv = inverse(m)
-            assert approx_eq(mat_mul(m, inv), identity(n), 1e-10).ok
-            assert approx_eq(mat_mul(inv, m), identity(n), 1e-10).ok
+            assert approx_eq(m @ inv, identity(n), 1e-10).ok
+            assert approx_eq(inv @ m, identity(n), 1e-10).ok
 
     def test_diagonal(self):
         inv = inverse(diag([2, 4j]))
@@ -187,24 +169,7 @@ class TestInverse:
         with pytest.raises(SingularMatrixError):
             inverse(m, tol=1e-9)
         loose = inverse(m, tol=1e-16)
-        assert approx_eq(mat_mul(m, loose), identity(2), 1e-7).ok
-
-
-class TestMatPower:
-    def test_zeroth_power(self):
-        assert approx_eq(mat_power(diag([2, 3]), 0), identity(2), 0).ok
-
-    def test_positive_power(self):
-        m = as_matrix([[0, 1], [1, 1]])
-        assert approx_eq(mat_power(m, 5), as_matrix([[3, 5], [5, 8]]), 1e-12).ok
-
-    def test_negative_power(self):
-        m = diag([2, 1j])
-        assert approx_eq(mat_power(m, -2), diag([0.25, -1]), 1e-14).ok
-
-    def test_negative_power_of_singular(self):
-        with pytest.raises(SingularMatrixError):
-            mat_power(zeros(2, 2), -1)
+        assert approx_eq(m @ loose, identity(2), 1e-7).ok
 
 
 class TestHadamardInverse:
@@ -237,20 +202,6 @@ class TestApproxEq:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             approx_eq(identity(2), identity(3), 1e-9)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        t = Tolerance()
-        assert t.abs_tol == DEFAULT_TOL
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=-1e-9)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=math.inf)
 
 
 class TestJsonRoundTrip:
@@ -290,6 +241,54 @@ class TestJsonRoundTrip:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             matrix_from_dict({"rows": 0, "cols": 1, "entries": []})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": 1, "cols": 1, "entries": [[True, 0.0]]},
+            {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},
+            {"rows": 1, "cols": 1, "entries": [[1.0, None]]},
+            {"rows": 1.0, "cols": 1, "entries": [[1.0, 0.0]]},
+            {"rows": True, "cols": 1, "entries": [[1.0, 0.0]]},
+        ],
+        ids=["bool_part", "huge_int_part", "null_part", "float_rows", "bool_rows"],
+    )
+    def test_rejects_parts_and_dims_of_the_wrong_json_type(self, doc):
+        with pytest.raises(ValueError):
+            matrix_from_dict(doc)
+
+    def test_scalar_and_nested_pairs(self):
+        assert complex_to_json(1 - 2j) == [1.0, -2.0]
+        assert complex_to_json([(1j, 2)]) == [[[0.0, 1.0], [2.0, 0.0]]]
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_writer_matches_per_entry_pairs(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, rows, cols))
+    parts[rng.random(size=parts.shape) < 0.2] = 0.0
+    parts[rng.random(size=parts.shape) < 0.2] = -0.0
+    m = np.zeros((rows, cols), dtype=np.complex128)
+    m.real, m.imag = parts
+    reference = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    # json.dumps tells -0.0 from 0.0, which == does not.
+    assert json.dumps(matrix_to_dict(m)["entries"]) == json.dumps(reference)
+
+
+def test_every_export_is_used_by_another_module():
+    # A re-export from the package __init__ is not a use.
+    package = Path(linalg.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name in ("linalg.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(linalg.__all__) - used) == []
 
 
 @settings(max_examples=40)
