@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import baxter, hadamard, linalg, master, tlrep
 from .linalg import DEFAULT_TOL, Matrix
 
@@ -497,8 +499,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        payload, ok = args.handler(args)
-        _emit(payload, args.out)
+        # Overflow shows as a non-finite result, which the finite checks and
+        # the strict render turn into exit 2; numpy's warnings would be a
+        # second stderr line.
+        with np.errstate(all="ignore"):
+            payload, ok = args.handler(args)
+            _emit(payload, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

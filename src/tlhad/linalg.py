@@ -2,10 +2,10 @@
 
 Row-major complex matrices (numpy complex128 arrays) with the operations
 the higher layers need: Kronecker products, the action of a two-site
-operator on two of three sites, LU inversion with partial pivoting,
-entrywise reciprocal, roots of unity, and tolerance-based comparison.
-Equality of floating-point matrices is always tolerance-based; nothing
-here compares floats exactly.
+operator on two of three sites, inversion by LAPACK with a condition
+test for singularity, entrywise reciprocal, roots of unity, and
+tolerance-based comparison. Equality of floating-point matrices is
+always tolerance-based; nothing here compares floats exactly.
 
 The JSON codec of every wire format lives here too. A complex number
 travels as an [re, im] pair of finite JSON numbers, so files round-trip
@@ -53,7 +53,7 @@ Matrix = np.ndarray
 
 
 class SingularMatrixError(ValueError):
-    """A pivot fell below the relative singularity threshold during LU."""
+    """The matrix is singular, or too badly conditioned to invert at the tolerance."""
 
 
 class Comparison(NamedTuple):
@@ -152,36 +152,24 @@ def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matri
 
 
 def inverse(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Matrix inverse via LU decomposition with partial pivoting.
+    """Matrix inverse by LAPACK (numpy.linalg.inv).
 
-    Raises SingularMatrixError when any pivot magnitude drops to
-    tol * max_abs(a) or below (so the zero matrix is singular even at
-    tol = 0).
+    Raises SingularMatrixError when LAPACK meets a zero pivot, or when the
+    condition estimate max_abs(a) * max_abs(inverse) is not finite or
+    reaches 1 / tol. The zero matrix is singular even at tol = 0.
     """
     a = as_matrix(a)
-    n = _require_square(a)
-    scale = max_abs(a)
-    lu = a.copy()
-    perm = np.arange(n)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(lu[col:, col])))
-        if abs(lu[piv, col]) <= tol * scale:
-            raise SingularMatrixError(
-                f"matrix is singular at tolerance {tol}: pivot {abs(lu[piv, col]):.3e} "
-                f"in column {col} (scale {scale:.3e})"
-            )
-        if piv != col:
-            lu[[col, piv]] = lu[[piv, col]]
-            perm[[col, piv]] = perm[[piv, col]]
-        lu[col + 1 :, col] /= lu[col, col]
-        lu[col + 1 :, col + 1 :] -= np.outer(lu[col + 1 :, col], lu[col, col + 1 :])
-    # Solve L U X = P I by forward then back substitution, all columns at once.
-    x = np.eye(n, dtype=np.complex128)[perm]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
+    _require_square(a)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    cond = max_abs(a) * max_abs(inv)
+    if not np.isfinite(cond) or cond * tol >= 1:
+        raise SingularMatrixError(
+            f"matrix is singular at tolerance {tol}: max|A| * max|A^-1| = {cond:.3e}"
+        )
+    return inv
 
 
 def hadamard_inverse(a: Matrix) -> Matrix:

@@ -40,6 +40,7 @@ __all__ = [
     "NestingSpec",
     "MasterConditionCheck",
     "PigeonholeObstruction",
+    "power_table",
     "master_matrix",
     "master_polynomial_eval",
     "check_master_condition",
@@ -211,29 +212,39 @@ class PigeonholeObstruction:
     distinct_rows: int
 
 
+def power_table(base, exponents) -> np.ndarray:
+    """table[..., a] = base[...] ** n_a for every exponent n_a, in complex128.
+
+    Raises ValueError when a power is not finite, so an overflow never
+    reaches a residual as inf or nan.
+    """
+    try:
+        exps = np.asarray(exponents, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError("exponent beyond the floating-point range") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.asarray(base, dtype=np.complex128)[..., None] ** exps
+    if not np.isfinite(table).all():
+        raise ValueError("an eigenvalue power overflows the floating-point range")
+    return table
+
+
 def master_matrix(spec: MasterSpec) -> Matrix:
     """Omega[i, j] = lambda_i ** n_j."""
-    out = linalg.zeros(spec.size, spec.size)
-    for i, lam in enumerate(spec.lambdas):
-        for j, e in enumerate(spec.exponents):
-            out[i, j] = lam**e
-    return out
+    return power_table(spec.lambdas, spec.exponents)
 
 
-def master_polynomial_eval(exponents, z: complex) -> complex:
-    """p(z) = sum_a z^n_a over the given exponents."""
-    z = complex(z)
-    return sum((z**int(e) for e in exponents), complex(0.0))
+def master_polynomial_eval(exponents, z):
+    """p(z) = sum_a z^n_a over the given exponents, for a scalar or an array z."""
+    p = power_table(z, exponents).sum(axis=-1)
+    return complex(p) if p.ndim == 0 else p
 
 
 def check_master_condition(spec: MasterSpec, tol: float = DEFAULT_TOL) -> MasterConditionCheck:
     """Residuals of sum_a (lambda_i/lambda_j)^n_a = n * delta_ij."""
-    n = spec.size
-    residuals = np.zeros((n, n), dtype=np.float64)
-    for i, li in enumerate(spec.lambdas):
-        for j, lj in enumerate(spec.lambdas):
-            val = master_polynomial_eval(spec.exponents, li / lj)
-            residuals[i, j] = abs(val - (n if i == j else 0.0))
+    lams = np.asarray(spec.lambdas)
+    sums = master_polynomial_eval(spec.exponents, lams[:, None] / lams)
+    residuals = np.abs(sums - spec.size * np.eye(spec.size))
     worst = float(residuals.max())
     return MasterConditionCheck(worst <= tol, worst, residuals)
 

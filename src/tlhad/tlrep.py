@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import hadamard, linalg
+from . import hadamard, linalg, master
 from .linalg import DEFAULT_TOL, Comparison, Matrix
 
 __all__ = [
@@ -163,18 +163,14 @@ class Master4Check(NamedTuple):
 def build_local_generator(a: TLAnsatz, tol: float = DEFAULT_TOL) -> Matrix:
     """Assemble sum_{a,b} v_a w_b e_ab (x) M^(n_a - n_b) as an n^2 x n^2 matrix.
 
-    Negative exponent differences go through the LU inverse, so a
+    Each distinct power comes from numpy.linalg.matrix_power in O(log d)
+    products; a negative difference powers linalg.inverse(M, tol), so a
     singular M raises SingularMatrixError.
     """
     n = a.n
     diffs = {ea - eb for ea in a.exponents for eb in a.exponents}
-    powers: dict[int, Matrix] = {0: linalg.identity(n)}
-    for d in range(1, max(diffs) + 1):
-        powers[d] = powers[d - 1] @ a.m
-    if min(diffs) < 0:
-        minv = linalg.inverse(a.m, tol)
-        for d in range(1, -min(diffs) + 1):
-            powers[-d] = powers[-(d - 1)] @ minv
+    minv = linalg.inverse(a.m, tol) if min(diffs) < 0 else None
+    powers = {d: np.linalg.matrix_power(a.m if d >= 0 else minv, abs(d)) for d in diffs}
     out = linalg.zeros(n * n, n * n)
     for ia, ea in enumerate(a.exponents):
         for ib, eb in enumerate(a.exponents):
@@ -252,37 +248,30 @@ def check_master4(
           * (sum_{k,l} Pinv[i,k] P[l,j] lambda_u^(n_k - n_l)) = n * delta_ij.
 
     The inner double sum factorizes as (Pinv @ c_u)[i] * (r_u @ P)[j]
-    with c_u[k] = lambda_u^n_k and r_u[l] = lambda_u^(-n_l), which keeps
-    the evaluation at O(n^3) scalars.
+    with c_u[k] = lambda_u^n_k and r_u[l] = lambda_u^(-n_l), rows of the
+    power table and of its reciprocal, which keeps the evaluation at
+    O(n^3) scalars. The worst index is the first maximum in (i, j, u)
+    order with u slowest.
     """
     p = linalg.as_matrix(p)
     n = linalg._require_square(p, "eigenvector matrix")
-    lams = [complex(z) for z in lambdas]
-    exps = [int(e) for e in exponents]
-    if len(lams) != n or len(exps) != n:
+    lams = np.asarray(lambdas, dtype=np.complex128)
+    if lams.shape != (n,) or len(exponents) != n:
         raise ValueError("need one eigenvalue and one exponent per matrix row")
-    if any(z == 0 for z in lams):
+    if not lams.all():
         raise ValueError("eigenvalues must be nonzero")
     pinv = linalg.inverse(p, tol)
-    ratio_sums = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            ratio_sums[i, j] = sum((lams[j] / lams[i]) ** e for e in exps)
-    worst = (0, 0, 0)
-    worst_res = 0.0
-    eye = np.eye(n)
-    for u in range(n):
-        c_u = np.array([lams[u] ** e for e in exps])
-        r_u = np.array([lams[u] ** (-e) for e in exps])
-        x = pinv @ c_u
-        y = r_u @ p
-        vals = ratio_sums * np.outer(x, y)
-        res = np.abs(vals - n * eye)
-        idx = np.unravel_index(int(np.argmax(res)), res.shape)
-        if res[idx] > worst_res:
-            worst_res = float(res[idx])
-            worst = (int(idx[0]), int(idx[1]), u)
-    return Master4Check(worst_res <= tol, worst_res, worst)
+    ratio_sums = master.master_polynomial_eval(exponents, lams / lams[:, None])
+    c = master.power_table(lams, exponents)
+    if not c.all():
+        raise ValueError("an eigenvalue power underflows, so its reciprocal is not finite")
+    x = c @ pinv.T
+    y = (1 / c) @ p
+    vals = ratio_sums * (x[:, :, None] * y[:, None, :])
+    res = np.abs(vals - n * np.eye(n))
+    u, i, j = np.unravel_index(int(np.argmax(res)), res.shape)
+    worst = float(res[u, i, j])
+    return Master4Check(worst <= tol, worst, (int(i), int(j), int(u)))
 
 
 def eigenvector_condition(

@@ -43,6 +43,8 @@ SCALAR = {"rows": 1, "cols": 1, "entries": [[1, 0]]}
 MATRIX = {"rows": 2, "cols": 2, "entries": [[1, 0], [1, 0], [1, 0], [-1, 0]]}
 ANSATZ = {"m": MATRIX, "exponents": [0, 1], "sites": 3}
 BRAID = {"q": [0.5, 0.5], "nu": [2, 0], "r_check": matrix_to_dict(np.eye(4))}
+OVERFLOWING_SPEC = {"lambdas": [[1e308, 0], [1, 0]], "exponents": [0, 2]}
+HUGE_EXPONENTS = ["--exponents", "0,100000000000"]
 
 
 @pytest.fixture
@@ -304,6 +306,13 @@ class TestBuild:
         )
         assert approx_eq(built, fixture_u2(), 1e-12).ok
 
+    def test_tl_local_huge_exponent_difference(self, capsys, workdir):
+        write_matrix("m.json", np.eye(2))
+        code, payload = run_json(capsys, "build", "tl-local", *HUGE_EXPONENTS, "--m", "m.json")
+        assert code == 0
+        # M^d = I for every d, so T = ones(2, 2) (x) I.
+        assert payload == matrix_to_dict(np.kron(np.ones((2, 2)), np.eye(2)))
+
     @staticmethod
     def _write_m(workdir):
         m = fixture_u2_ansatz().m
@@ -482,13 +491,31 @@ class TestErrors:
             (CHM, SCALAR | {"rows": 1.5}, "rows"),
             (CHM, SCALAR | {"rows": "1"}, "rows"),
             (CHM, SCALAR | {"entries": [[True, False]]}, "entry 0"),
+            (["check", "master", "--spec"], OVERFLOWING_SPEC, "overflow"),
+            # One document serves as both the eigenvector matrix and the spec.
+            (
+                ["check", "master4", "--p", "in.json", "--spec"],
+                MATRIX | OVERFLOWING_SPEC,
+                "overflow",
+            ),
+            (
+                ["check", "master4", "--p", "in.json", "--spec"],
+                SCALAR | {"lambdas": [[1e-200, 0]], "exponents": [2]},
+                "underflow",
+            ),
+            (
+                ["build", "tl-local", *HUGE_EXPONENTS, "--m"],
+                matrix_to_dict(2 * np.eye(2)),
+                "finite",
+            ),
         ],
         ids=[
             "ansatz_null_weight", "ansatz_string_weight", "braid_null_q", "braid_string_nu",
             "braid_nan_q", "braid_zero_q", "nesting_null_g", "nesting_fractional_p",
             "overflowing_residual", "nan_weight_flag", "fractional_exponent",
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
-            "bool_entry",
+            "bool_entry", "master_power_overflow", "master4_power_overflow",
+            "master4_power_underflow", "generator_power_overflow",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):
@@ -497,6 +524,7 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and field in err
+        assert err.count("\n") == 1
 
 
 def _reject_constant(name):
@@ -520,7 +548,9 @@ def _wire_docs():
 
 
 WIRE_DOCS = _wire_docs()
-MUTATIONS = [None, True, False, "1", float("nan"), float("inf"), float("-inf"), 2.5, "drop"]
+MUTATIONS = [
+    None, True, False, "1", float("nan"), float("inf"), float("-inf"), 2.5, 1e308, "drop"
+]
 
 
 def _node_paths(doc, prefix=()):

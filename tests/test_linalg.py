@@ -137,7 +137,36 @@ class TestArithmetic:
         assert max_abs(as_matrix([[1, -2], [3j, 0]])) == 3.0
 
 
+def _lu_inverse(a):
+    """Reference: LU with partial pivoting, then substitution, one row at a time."""
+    n = a.shape[0]
+    lu = np.array(a, dtype=complex)
+    perm = np.arange(n)
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(lu[col:, col])))
+        lu[[col, piv]] = lu[[piv, col]]
+        perm[[col, piv]] = perm[[piv, col]]
+        lu[col + 1:, col] /= lu[col, col]
+        lu[col + 1:, col + 1:] -= np.outer(lu[col + 1:, col], lu[col, col + 1:])
+    x = np.eye(n, dtype=complex)[perm]
+    for i in range(1, n):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+    return x
+
+
 class TestInverse:
+    def test_matches_python_lu(self):
+        # Both factorize with partial pivoting but round in another order;
+        # the tolerance is eps times the condition estimate, with room.
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 5, 8, 13):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            inv = inverse(m)
+            cond = max_abs(m) * max_abs(inv)
+            assert max_abs(inv - _lu_inverse(m)) <= 1e3 * 2.2e-16 * cond * max_abs(inv)
+
     def test_round_trip_on_well_conditioned_matrix(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 5, 8):
@@ -170,6 +199,20 @@ class TestInverse:
             inverse(m, tol=1e-9)
         loose = inverse(m, tol=1e-16)
         assert approx_eq(m @ loose, identity(2), 1e-7).ok
+
+    def test_uniformly_small_matrix_is_not_singular(self):
+        inv = inverse(diag([1e-12, 1e-12]))
+        assert approx_eq(inv, diag([1e12, 1e12]), 1e-3).ok
+
+    def test_ill_conditioned_is_singular_at_default_tol(self):
+        # Every pivot is 1, but max|A| * max|A^-1| = 1e20 reaches 1 / tol.
+        with pytest.raises(SingularMatrixError):
+            inverse(as_matrix([[1, 1e10], [0, 1]]))
+
+    def test_exactly_singular_at_zero_tol(self):
+        for m in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+            with pytest.raises(SingularMatrixError):
+                inverse(as_matrix(m), tol=0.0)
 
 
 class TestHadamardInverse:

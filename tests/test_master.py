@@ -111,6 +111,17 @@ class TestMasterPolynomial:
         direct = sum(z**a for a in range(4))
         assert abs(master_polynomial_eval(range(4), z) - direct) < 1e-13
 
+    def test_array_argument(self):
+        z = np.array([[0.5 + 0.25j, -1], [1j, 2]])
+        values = master_polynomial_eval((0, 2, 5), z)
+        assert values.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            assert abs(values[idx] - master_polynomial_eval((0, 2, 5), z[idx])) < 1e-14
+
+    def test_overflowing_power_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            master_polynomial_eval((0, 2), 1e308)
+
     def test_duplicate_polynomial_vanishes_at_fifth_roots(self):
         # z^0 + z^2 + z^3 + z^4 + z^6 agrees with 1 + z + z^2 + z^3 + z^4
         # at every fifth root of unity, so it vanishes at the nontrivial ones.
@@ -139,6 +150,38 @@ class TestMasterCondition:
         check = check_master_condition(MasterSpec((1, 2), (0, 1)))
         assert not check.ok
         assert check.max_residual > 0.5
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(fourier_master(n, ell) for n, ell in ((2, 1), (5, 2), (8, 3))),
+            f4_master(1, 1),
+            f4_master(5, 3),
+            f6_master(2, 1, 1),
+            f6_master(60, 3, 5),
+            f6_master(200, 7, 11),
+            nest(NestingSpec((NestingStage(2, 1, (0, 1), (0, 0)), NestingStage(3, 2)))),
+        ],
+        ids=["fourier2", "fourier5_2", "fourier8_3", "f4_1_1", "f4_5_3", "f6_2_1_1",
+             "f6_60_3_5", "f6_200_7_11", "nest_2x3"],
+    )
+    def test_agrees_with_scalar_loop(self, spec):
+        # The vectorized residuals against p(lambda_i / lambda_j) taken one
+        # ratio at a time, and against Python complex arithmetic one
+        # exponent at a time. Python and numpy round the ratio and the power
+        # differently, by about eps per factor, so that bound grows with the
+        # exponents.
+        n = spec.size
+        lams = np.asarray(spec.lambdas)
+        python_tol = 4 * n * max(spec.exponents) * 2.3e-16
+        residuals = check_master_condition(spec).residuals
+        for i, li in enumerate(spec.lambdas):
+            for j, lj in enumerate(spec.lambdas):
+                want = n * (i == j)
+                scalar = abs(master_polynomial_eval(spec.exponents, lams[i] / lams[j]) - want)
+                python = abs(sum((li / lj) ** e for e in spec.exponents) - want)
+                assert abs(residuals[i, j] - scalar) <= 1e-14
+                assert abs(residuals[i, j] - python) <= python_tol
 
     def test_agrees_with_inverse_form(self):
         # The condition p(lambda_i / lambda_j) = n delta_ij is equivalent to

@@ -23,6 +23,7 @@ from tlhad.master import (
     NestingSpec,
     NestingStage,
     f4_master,
+    f6_master,
     fourier_master,
     master_matrix,
     nest,
@@ -115,6 +116,30 @@ class TestBuildLocalGenerator:
             s = np.linalg.svd(np.asarray(build_local_generator(a)), compute_uv=False)
             assert s[a.n - 1] > 1e-8
             assert s[a.n] < 1e-10
+
+    @pytest.mark.parametrize("case", ["fourier3", "fourier5", "f4_2_1", "f6_2_1_1", "u1", "u2"])
+    def test_matches_repeated_multiplication(self, case):
+        # Reference: every power M^d built one factor of M (or M^-1) at a
+        # time. Binary powering rounds in another order, so the blocks
+        # agree to a tolerance, not bit for bit.
+        specs = {"fourier3": fourier_master(3), "fourier5": fourier_master(5),
+                 "f4_2_1": f4_master(2, 1), "f6_2_1_1": f6_master(2, 1, 1)}
+        if case in specs:
+            spec = specs[case]
+            m = reconstruct_m(master_matrix(spec), fourier(spec.size), spec.lambdas)
+            a = TLAnsatz(m, spec.exponents, v=np.exp(1j * np.arange(spec.size)))
+        else:
+            a = fixture_u1_ansatz() if case == "u1" else fixture_u2_ansatz()
+        minv = np.linalg.inv(a.m)
+        n = a.n
+        want = np.zeros((n * n, n * n), dtype=complex)
+        for ia, ea in enumerate(a.exponents):
+            for ib, eb in enumerate(a.exponents):
+                power = np.eye(n)
+                for _ in range(abs(ea - eb)):
+                    power = power @ (a.m if ea >= eb else minv)
+                want[ia * n:(ia + 1) * n, ib * n:(ib + 1) * n] = a.v[ia] * a.w[ib] * power
+        assert max_abs(build_local_generator(a) - want) <= 1e-13
 
     def test_singular_m_rejected_when_negative_powers_needed(self):
         m = as_matrix([[1, 0], [0, 0]])
@@ -302,6 +327,35 @@ class TestMaster4:
         with pytest.raises(ValueError):
             check_master4(identity(2), (1, -1, 1j), (0, 1, 2))
 
+    @pytest.mark.parametrize("perturb", [1.0, 1.01])
+    @pytest.mark.parametrize("spec", [fourier_master(3), f4_master(2, 1), f6_master(2, 1, 1)],
+                             ids=["fourier3", "f4_2_1", "f6_2_1_1"])
+    def test_matches_scalar_loop(self, spec, perturb):
+        # Reference: the closure conditions one (i, j, u) at a time in
+        # Python complex arithmetic. numpy sums in another order, so the
+        # residuals agree to a tolerance and the worst index is compared by
+        # the residual it points at.
+        n = spec.size
+        p = np.asarray(master_matrix(spec)).T @ np.asarray(dephase(fourier(n))[0])
+        lams = [lam * (perturb if i == 0 else 1.0) for i, lam in enumerate(spec.lambdas)]
+        pinv = np.linalg.inv(p)
+        res = np.zeros((n, n, n))
+        for u in range(n):
+            for i in range(n):
+                for j in range(n):
+                    ratio = sum((lams[j] / lams[i]) ** e for e in spec.exponents)
+                    inner = sum(
+                        pinv[i, k] * p[l, j] * lams[u] ** (ek - el)
+                        for k, ek in enumerate(spec.exponents)
+                        for l, el in enumerate(spec.exponents)
+                    )
+                    res[u, i, j] = abs(ratio * inner - n * (i == j))
+        check = check_master4(as_matrix(p), lams, spec.exponents)
+        assert abs(check.max_residual - res.max()) <= 1e-12 * max(1.0, res.max())
+        i, j, u = check.worst
+        assert abs(res[u, i, j] - res.max()) <= 1e-12 * max(1.0, res.max())
+        assert check.ok == (perturb == 1.0)
+
 
 class TestEigenvectorCondition:
     def test_transpose_alone_fails(self):
@@ -359,9 +413,11 @@ class TestReconstructM:
     def test_spectrum_matches_lambdas(self):
         spec = fourier_master(4)
         m = reconstruct_m(master_matrix(spec), fourier(4), spec.lambdas)
-        eigs = sorted(np.linalg.eigvals(np.asarray(m)), key=lambda z: (z.real, z.imag))
-        want = sorted(spec.lambdas, key=lambda z: (z.real, z.imag))
-        assert all(abs(a - b) < 1e-9 for a, b in zip(eigs, want))
+        # Pair each lambda with its nearest eigenvalue, one to one; sorting by
+        # (re, im) would order +-i by the rounding noise of their real parts.
+        dist = np.abs(np.subtract.outer(spec.lambdas, np.linalg.eigvals(np.asarray(m))))
+        assert sorted(dist.argmin(axis=1)) == list(range(len(spec.lambdas)))
+        assert dist.min(axis=1).max() < 1e-9
 
     def test_reconstruction_satisfies_tl(self):
         for n in (2, 3, 4):
