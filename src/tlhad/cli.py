@@ -4,16 +4,17 @@ Verbs:
     gen     construct matrices and master specs
     check   run residual checks (exit 1 when a residual exceeds tolerance)
     build   assemble generators, braid data, R-matrices, reconstructed M
-    search  bounded brute-force master-matrix factorization
+    search  bounded master-matrix factorization by pruned backtracking
 
 Exit codes: 0 success / check passed, 1 check failed (some residual
-above tolerance), 2 input or usage error. Stdout carries JSON only;
-stderr carries diagnostics.
+above tolerance), 2 input or usage error. Stdout carries JSON only, one
+line of it; stderr carries diagnostics.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,17 +25,12 @@ import numpy as np
 from . import baxter, hadamard, linalg, master, tlrep
 from .linalg import DEFAULT_TOL, Matrix
 
-__all__ = ["main", "read_matrix", "write_matrix"]
+__all__ = ["main", "read_matrix"]
 
 
 def read_matrix(path: str) -> Matrix:
     """Load a matrix from the canonical JSON format."""
     return linalg.matrix_from_dict(_load_json(path))
-
-
-def write_matrix(path: str, m: Matrix) -> None:
-    """Write a matrix in the canonical JSON format."""
-    Path(path).write_text(_render(linalg.matrix_to_dict(m)))
 
 
 def _load_json(path: str):
@@ -47,13 +43,10 @@ def _load_json(path: str):
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _render(payload: dict) -> str:
-    # Strict JSON: a NaN or infinite value raises ValueError, which main reports.
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    text = _render(payload)
+    # Strict JSON: a NaN or infinite value raises ValueError, which main
+    # reports. Without indent, json serializes through its C encoder.
+    text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -367,6 +360,7 @@ def _search_master_rep(args) -> tuple[dict, bool]:
 
 # ------------------------------------------------------------- parser --
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
@@ -484,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search = verbs.add_parser("search", help="bounded searches").add_subparsers(
         dest="target", required=True
     )
-    sub = leaf(search, "master-rep", _search_master_rep, "master-matrix factorization search")
+    sub = leaf(search, "master-rep", _search_master_rep, "pruned backtracking master-matrix search")
     sub.add_argument("--matrix", required=True)
     sub.add_argument("--exponent-bound", type=int, default=12)
     sub.add_argument("--root-order-bound", type=int, default=12)
@@ -493,9 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    # The parser is built on the first call, not at import (importing the
+    # module stays cheap), and reused by every later call.
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -17,8 +17,8 @@ Provided constructions: Fourier identification, the size-4 and size-6
 parametric families, and iterated ("nested") Fourier products. The
 module also carries two obstruction tools for the converse question of
 which Hadamard matrices are master matrices: a root-counting pigeonhole
-argument and a bounded brute-force search, plus the two printed 6x6
-matrices that defeat both.
+argument and a bounded search by pruned backtracking, plus the two
+printed 6x6 matrices that defeat both.
 """
 from __future__ import annotations
 
@@ -378,15 +378,18 @@ def _snap_to_phase_fraction(z: complex, root_order_bound: int, tol: float) -> tu
 def search_master_representation(
     u: Matrix, exponent_bound: int, root_order_bound: int, tol: float = DEFAULT_TOL
 ) -> MasterSpec | None:
-    """Bounded brute-force master-matrix factorization of u.
+    """Bounded master-matrix factorization of u by pruned backtracking.
 
     Dephases u first when needed (the returned spec then reproduces the
-    dephased form). Enumerates exponent tuples (0, e_2, ..., e_n) with
+    dephased form). Searches exponent tuples (0, e_2, ..., e_n) with
     distinct entries from 1..exponent_bound and overall gcd 1, in
     lexicographic order, and solves each row for an eigenvalue among
     roots of unity of order <= root_order_bound using exact integer
-    phase arithmetic. Returns the first spec whose master matrix matches
-    u within tol, else None. A None result is conclusive only within the
+    phase arithmetic. The tuple is built one exponent column at a time;
+    each column narrows every row's set of candidate eigenvalues, and a
+    prefix that leaves some row without a candidate is cut with all its
+    extensions. Returns the first spec whose master matrix matches u
+    within tol, else None. A None result is conclusive only within the
     stated bounds.
     """
     if exponent_bound <= 0 or root_order_bound <= 0:
@@ -419,46 +422,48 @@ def search_master_representation(
     )
     full_mask = (1 << len(cands)) - 1
 
-    # tables[i][j-1][e] = bitmask of candidates v with v*e = target[i][j] (mod L).
-    tables = []
-    for i in range(n):
-        row_tab = []
-        for j in range(1, n):
-            col_tab = [0] * (exponent_bound + 1)
-            for e in range(1, exponent_bound + 1):
-                mask = 0
-                for ci, v in enumerate(cands):
-                    if (v * e) % lcm == target[i][j]:
-                        mask |= 1 << ci
-                col_tab[e] = mask
-            row_tab.append(col_tab)
-        tables.append(row_tab)
+    # solutions[e][x] = bitmask of candidates v with v*e = x (mod L).
+    solutions = []
+    for e in range(exponent_bound + 1):
+        by_phase: dict[int, int] = {}
+        for ci, v in enumerate(cands):
+            x = v * e % lcm
+            by_phase[x] = by_phase.get(x, 0) | 1 << ci
+        solutions.append(by_phase)
+    # columns[j-1][e][i] = candidates for row i when column j carries exponent e.
+    columns = [
+        [[solutions[e].get(target[i][j], 0) for i in range(n)] for e in range(exponent_bound + 1)]
+        for j in range(1, n)
+    ]
 
-    for tup in itertools.permutations(range(1, exponent_bound + 1), n - 1):
+    def leaf(tup: tuple[int, ...], masks: list[int]) -> MasterSpec | None:
         if math.gcd(*tup) != 1:
-            continue
-        vals: list[int] = []
-        feasible = True
-        for row_tab in tables:
-            mask = full_mask
-            for j, e in enumerate(tup):
-                mask &= row_tab[j][e]
-                if not mask:
-                    break
-            if not mask:
-                feasible = False
-                break
-            vals.append(cands[(mask & -mask).bit_length() - 1])
-        if not feasible:
-            continue
+            return None
+        vals = [cands[(mask & -mask).bit_length() - 1] for mask in masks]
         lambdas = tuple(cmath.exp(2j * math.pi * v / lcm) for v in vals)
         try:
             spec = MasterSpec(lambdas, (0,) + tup)
         except ValueError:
-            continue
-        if linalg.approx_eq(master_matrix(spec), u, tol).ok:
-            return spec
-    return None
+            return None
+        return spec if linalg.approx_eq(master_matrix(spec), u, tol).ok else None
+
+    def extend(tup: tuple[int, ...], masks: list[int]) -> MasterSpec | None:
+        # Exponents are tried in increasing order, so leaves are visited in
+        # lexicographic order and the first match is the least tuple.
+        if len(tup) == n - 1:
+            return leaf(tup, masks)
+        column = columns[len(tup)]
+        for e in range(1, exponent_bound + 1):
+            if e in tup:
+                continue
+            narrowed = [mask & row for mask, row in zip(masks, column[e])]
+            if all(narrowed):
+                spec = extend(tup + (e,), narrowed)
+                if spec is not None:
+                    return spec
+        return None
+
+    return extend((), [full_mask] * n)
 
 
 def h0() -> Matrix:

@@ -338,7 +338,12 @@ def weighted_hadamard_check(
 ) -> Comparison:
     """Residual of the weighted Hadamard identity Omega^{-H} V W = alpha (Omega^-1)^t."""
     omega = linalg.as_matrix(omega)
-    linalg._require_square(omega, "master matrix")
+    n = linalg._require_square(omega, "master matrix")
+    if len(v) != n or len(w) != n:
+        raise ValueError(
+            f"weights v and w need {n} entries each for a {n}x{n} master matrix, "
+            f"got {len(v)} and {len(w)}"
+        )
     lhs = linalg.hadamard_inverse(omega) @ linalg.diag(v) @ linalg.diag(w)
     rhs = complex(alpha) * linalg.inverse(omega, tol).T
     residual = linalg.max_abs(lhs - rhs)

@@ -4,8 +4,11 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlhad.baxter import braid_from_tl
-from tlhad.cli import main, read_matrix, write_matrix
+import tlhad
+from tlhad import cli
+from tlhad.cli import main, read_matrix
 from tlhad.hadamard import fourier
 from tlhad.linalg import approx_eq, as_matrix, matrix_to_dict
-from tlhad.master import fourier_master, h0, master_matrix
+from tlhad.master import fourier_master, h0, h1, master_matrix
 from tlhad.tlrep import (
     TLAnsatz,
     build_local_generator,
@@ -30,6 +35,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_matrix(path, m):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_dict(m), fh)
 
 
 def run_json(capsys, *argv):
@@ -508,6 +518,12 @@ class TestErrors:
                 matrix_to_dict(2 * np.eye(2)),
                 "finite",
             ),
+            (
+                ["check", "weighted-hadamard", "--v", "1,1", "--w", "1,1,1", "--alpha", "3"]
+                + ["--omega"],
+                MATRIX,
+                "need 2 entries",
+            ),
         ],
         ids=[
             "ansatz_null_weight", "ansatz_string_weight", "braid_null_q", "braid_string_nu",
@@ -515,7 +531,7 @@ class TestErrors:
             "overflowing_residual", "nan_weight_flag", "fractional_exponent",
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
             "bool_entry", "master_power_overflow", "master4_power_overflow",
-            "master4_power_underflow", "generator_power_overflow",
+            "master4_power_underflow", "generator_power_overflow", "weight_length_mismatch",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):
@@ -598,3 +614,149 @@ def test_one_mutated_leaf_keeps_the_wire_contract(data):
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# ------------------------------------------------------- output parity --
+
+def _indented_render(payload):
+    """The former stdout and --out render, kept as the oracle."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of valid input documents for the parity cases."""
+    d = tmp_path_factory.mktemp("inputs")
+
+    def dump(name, doc):
+        (d / name).write_text(json.dumps(doc))
+
+    spec = fourier_master(3)
+    m = reconstruct_m(master_matrix(spec), fourier(3), spec.lambdas)
+    ansatz = TLAnsatz(m, spec.exponents, sites=3)
+    dump("spec.json", spec.to_dict())
+    dump("h.json", matrix_to_dict(fourier(3)))
+    dump("m.json", matrix_to_dict(m))
+    dump("ansatz.json", ansatz.to_dict())
+    dump("u2a.json", fixture_u2_ansatz().to_dict())
+    dump("braid.json", braid_from_tl(build_local_generator(ansatz), ansatz.alpha).to_dict())
+    dump("f2.json", matrix_to_dict(fourier(2)))
+    dump("eye.json", matrix_to_dict(np.eye(2)))
+    dump("h0.json", matrix_to_dict(h0()))
+    dump("p.json", matrix_to_dict(master_matrix(spec).T @ fourier(3) / 3))
+    dump("om.json", matrix_to_dict(master_matrix(spec)))
+    dump("stages.json", {"stages": [{"p": 2, "g": [0, 1]}, {"p": 2, "f": [1, 0]}]})
+    return d
+
+
+#: argv with {d} standing for the inputs directory.
+PARITY_CASES = {
+    "gen_fourier": "gen fourier --n 5 --ell 2",
+    "gen_f4": "gen f4 --a 0.3+0.7j",
+    "gen_f6": "gen f6 --a 1j --b 2",
+    "gen_dita": "gen dita --a {d}/f2.json --block {d}/h.json --block {d}/h.json",
+    "gen_nest": "gen nest --stages {d}/stages.json",
+    "gen_h0": "gen h0",
+    "gen_h1": "gen h1 --a 2",
+    "gen_fixture_u1": "gen fixture-u1",
+    "gen_fixture_u2": "gen fixture-u2",
+    "gen_master_fourier": "gen master-fourier --n 3",
+    "gen_master_f4": "gen master-f4 --k 2 --m 1",
+    "gen_master_f6": "gen master-f6 --k 2 --r 1 --s 1",
+    "readme_reconstruct_m": "build reconstruct-m --spec {d}/spec.json --h {d}/h.json",
+    "readme_tl_local": "build tl-local --m {d}/m.json --exponents 0,1,2",
+    "readme_check_master": "check master --spec {d}/spec.json",
+    "build_tl_local": "build tl-local --ansatz {d}/u2a.json",
+    "build_tl_embedded": "build tl-embedded --ansatz {d}/u2a.json --site 2",
+    "build_braid": "build braid --ansatz {d}/ansatz.json",
+    "build_rmatrix": "build rmatrix --braid {d}/braid.json",
+    "check_chm": "check chm --matrix {d}/h.json",
+    "check_chm_fail": "check chm --matrix {d}/m.json",
+    "check_ghm": "check ghm --matrix {d}/h.json",
+    "check_ghm_null": "check ghm --matrix {d}/eye.json",
+    "check_butson": "check butson --matrix {d}/h.json --q 3",
+    "check_master4": "check master4 --p {d}/p.json --spec {d}/spec.json",
+    "check_tl": "check tl --ansatz {d}/ansatz.json --sites 4",
+    "check_hecke": "check hecke --braid {d}/braid.json",
+    "check_braid": "check braid --ansatz {d}/u2a.json",
+    "check_ybe": "check ybe --braid {d}/braid.json --samples 5 --seed 3",
+    "check_weighted_hadamard": (
+        "check weighted-hadamard --omega {d}/om.json --v 1,1,1 --w 1,1,1 --alpha 3"
+    ),
+    "search_found": "search master-rep --matrix {d}/h.json --exponent-bound 4 --root-order-bound 6",
+    "search_not_found": "search master-rep --matrix {d}/h0.json",
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_output_is_the_indented_render_compacted(case, inputs, tmp_path):
+    argv = PARITY_CASES[case].format(d=inputs).split()
+    args = cli._build_parser().parse_args(argv)
+    payload, ok = args.handler(args)
+    expected = json.dumps(
+        json.loads(_indented_render(payload)), sort_keys=True, allow_nan=False
+    ) + "\n"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+        out_code = main(argv + ["--out", str(tmp_path / "out.json")])
+    assert code == out_code == (0 if ok else 1)
+    assert err.getvalue() == ""
+    assert out.getvalue() == expected
+    assert (tmp_path / "out.json").read_text() == expected
+    if case == "check_ghm_null":
+        assert '"max_residual": null' in expected
+
+
+def test_non_finite_result_exits_2_with_nothing_written(inputs, tmp_path, capsys):
+    argv = ["check", "chm", "--matrix", str(inputs / "h.json"), "--tol", "inf"]
+    assert run(capsys, *argv)[:2] == (2, "")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert not (tmp_path / "out.json").exists()
+
+
+# -------------------------------------------------------- parser reuse --
+
+class TestParserReuse:
+    def test_import_builds_no_parser(self):
+        src = str(Path(tlhad.__file__).parent.parent)
+        probe = "import tlhad.cli as c; print(c._build_parser.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=os.environ | {"PYTHONPATH": src},
+            check=True,
+        )
+        assert result.stdout.strip() == "0"
+
+    def test_one_parser_serves_every_call(self, capsys, workdir):
+        main(["gen", "h0"])
+        built = cli._build_parser.cache_info().misses
+        for argv in (["gen", "h0"], ["gen", "fourier", "--n", "2"], ["frobnicate"]):
+            main(argv)
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().misses == built
+
+    def test_usage_error_then_valid_call(self, capsys, workdir):
+        code, out, err = run(capsys, "check", "chm")
+        assert code == 2 and out == "" and "--matrix" in err
+        code, out, err = run(capsys, "gen", "fourier", "--n", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out) == matrix_to_dict(fourier(2))
+
+    def test_sites_flag_does_not_stick(self, capsys, workdir):
+        (workdir / "a.json").write_text(json.dumps(fixture_u2_ansatz(sites=4).to_dict()))
+        code, payload = run_json(capsys, "check", "tl", "--ansatz", "a.json", "--sites", "5")
+        assert code == 0 and payload["sites"] == 5
+        code, payload = run_json(capsys, "check", "tl", "--ansatz", "a.json")
+        assert code == 0 and payload["sites"] == 4
+
+    def test_out_flag_does_not_stick(self, capsys, workdir):
+        code, out, _ = run(capsys, "gen", "h0", "--out", "h0.json")
+        assert code == 0 and out == ""
+        written = (workdir / "h0.json").read_text()
+        code, out, _ = run(capsys, "gen", "h1", "--a", "1j")
+        assert code == 0 and json.loads(out) == matrix_to_dict(h1(1j))
+        assert (workdir / "h0.json").read_text() == written

@@ -1,14 +1,25 @@
 """Tests for master specs, the master condition, families, and obstructions."""
 
 import cmath
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlhad.hadamard import fourier, is_chm, is_ghm
+from tlhad.hadamard import (
+    EquivalenceMove,
+    apply_equivalence,
+    dephase,
+    f4_family,
+    f6_family,
+    fourier,
+    is_chm,
+    is_ghm,
+)
 from tlhad.linalg import (
     approx_eq,
     as_matrix,
@@ -30,6 +41,7 @@ from tlhad.master import (
     master_matrix,
     master_polynomial_eval,
     nest,
+    _snap_to_phase_fraction,
     pigeonhole_obstruction,
     search_master_representation,
 )
@@ -396,6 +408,125 @@ class TestSearch:
     def test_single_entry(self):
         spec = search_master_representation(as_matrix([[1]]), 1, 1)
         assert spec is not None and spec.exponents == (0,)
+
+
+def _enumerated_search(u, exponent_bound, root_order_bound, tol=1e-9):
+    """The former search, kept as the oracle: it tests every exponent permutation whole."""
+    u = as_matrix(u)
+    n = u.shape[0]
+    ones = np.ones(n)
+    if max_abs(u[0, :] - ones) > tol or max_abs(u[:, 0] - ones) > tol:
+        u, _ = dephase(u)
+    if n == 1:
+        return MasterSpec((1.0 + 0j,), (0,))
+    lcm = math.lcm(*range(1, root_order_bound + 1))
+    target = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            snapped = _snap_to_phase_fraction(u[i, j], root_order_bound, tol)
+            if snapped is None:
+                return None
+            t, r = snapped
+            target[i][j] = t * (lcm // r) % lcm
+    cands = sorted(
+        {t * (lcm // r) % lcm for r in range(1, root_order_bound + 1) for t in range(r)}
+    )
+    full_mask = (1 << len(cands)) - 1
+    tables = []
+    for i in range(n):
+        row_tab = []
+        for j in range(1, n):
+            col_tab = [0] * (exponent_bound + 1)
+            for e in range(1, exponent_bound + 1):
+                mask = 0
+                for ci, v in enumerate(cands):
+                    if (v * e) % lcm == target[i][j]:
+                        mask |= 1 << ci
+                col_tab[e] = mask
+            row_tab.append(col_tab)
+        tables.append(row_tab)
+    for tup in itertools.permutations(range(1, exponent_bound + 1), n - 1):
+        if math.gcd(*tup) != 1:
+            continue
+        vals = []
+        for row_tab in tables:
+            mask = full_mask
+            for j, e in enumerate(tup):
+                mask &= row_tab[j][e]
+            if not mask:
+                break
+            vals.append(cands[(mask & -mask).bit_length() - 1])
+        else:
+            lambdas = tuple(cmath.exp(2j * math.pi * v / lcm) for v in vals)
+            try:
+                spec = MasterSpec(lambdas, (0,) + tup)
+            except ValueError:
+                continue
+            if approx_eq(master_matrix(spec), u, tol).ok:
+                return spec
+    return None
+
+
+def _moved(u, seed):
+    """u under seeded row/column permutations and diagonal phases (first column fixed)."""
+    rng = np.random.default_rng(seed)
+    n = u.shape[0]
+    phases = lambda: tuple(cmath.exp(2j * math.pi * rng.random()) for _ in range(n))
+    cols = (0, *(1 + rng.permutation(n - 1)))
+    move = EquivalenceMove(tuple(rng.permutation(n)), phases(), phases(), cols)
+    return apply_equivalence(u, move)
+
+
+def _oracle_cases():
+    cases = [("h0", h0())]
+    cases += [(f"h1_w12^{k}", h1(unit_root(k, 12))) for k in range(12)]
+    for n in range(2, 7):
+        cases.append((f"fourier{n}_moved", _moved(fourier(n), n)))
+        cases.append((f"fourier{n}_dephased", dephase(_moved(fourier(n, n - 1), 10 + n))[0]))
+    cases.append(("f4_family", f4_family(unit_root(1, 4))))
+    cases.append(("f4_master", master_matrix(f4_master(2, 1))))
+    cases.append(("f6_family", f6_family(unit_root(1, 6), unit_root(1, 3))))
+    cases.append(("f6_master", master_matrix(f6_master(2, 1, 1))))
+    stages = (NestingStage(2, g=(0, 1)), NestingStage(2, f=(1, 0)))
+    cases.append(("nest22", master_matrix(nest(NestingSpec(stages)))))
+    stages = (NestingStage(2), NestingStage(3, g=(0, 0, 1)))
+    cases.append(("nest23", master_matrix(nest(NestingSpec(stages)))))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+#: (exponent bound, root-order bound); the old search costs 0.1 s per case at 12/12.
+ORACLE_BOUNDS = [(4, 4), (6, 12), (8, 8), (12, 6), (12, 12)]
+
+
+@pytest.mark.parametrize("bounds", ORACLE_BOUNDS, ids=lambda b: f"{b[0]}/{b[1]}")
+@pytest.mark.parametrize("name, u", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+def test_search_matches_the_enumeration(name, u, bounds):
+    expected = _enumerated_search(u, *bounds)
+    spec = search_master_representation(u, *bounds)
+    if expected is None:
+        assert spec is None
+    else:
+        assert spec is not None
+        assert (spec.lambdas, spec.exponents) == (expected.lambdas, expected.exponents)
+
+
+@pytest.mark.parametrize("name", ["h0", "h1_w12^1", "fourier6_moved", "nest23"])
+def test_search_matches_the_enumeration_at_16(name):
+    u = dict(ORACLE_CASES)[name]
+    expected = _enumerated_search(u, 16, 16)
+    spec = search_master_representation(u, 16, 16)
+    assert (spec and (spec.lambdas, spec.exponents)) == (
+        expected and (expected.lambdas, expected.exponents)
+    )
+
+
+@pytest.mark.parametrize("u", [h0(), h1(1j)], ids=["h0", "h1"])
+def test_no_representation_at_20_and_fast(u):
+    started = time.perf_counter()
+    assert search_master_representation(u, 20, 20) is None
+    # The full enumeration took about 2 s here for h0.
+    assert time.perf_counter() - started < 1.0
 
 
 class TestNonMasterFixtures:
