@@ -262,8 +262,8 @@ def _check_braid(args) -> tuple[dict, bool]:
 def _check_ybe(args) -> tuple[dict, bool]:
     b = _braid_from_args(args)
     samples = baxter.spectral_samples(args.samples, args.seed)
-    braid_residual = baxter.check_braid(b.r_check)
-    spectral_worst = baxter.check_spectral_ybe(b, samples, tol=args.tol)
+    # One pass gives both: the braid residual is the spectral check's C_22.
+    braid_residual, spectral_worst = baxter.ybe_residuals(b, samples, tol=args.tol)
     # Baxterized products amplify rounding; the spectral bound gets the
     # documented 10x allowance over the constant-braid tolerance.
     spectral_tol = 10 * args.tol
@@ -502,6 +502,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             _emit(payload, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A size flag (--n, --samples) asked for more memory than exists.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

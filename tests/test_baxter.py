@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from tlhad.baxter import (
     q_from_nu,
     spectral_samples,
     to_plain_r,
+    ybe_residuals,
 )
 from tlhad import linalg
-from tlhad.hadamard import fourier
+from tlhad.hadamard import f4_family, f6_family, fourier
 from tlhad.linalg import (
     approx_eq,
     as_matrix,
@@ -32,21 +34,82 @@ from tlhad.linalg import (
     on_strands,
     zeros,
 )
-from tlhad.master import fourier_master, master_matrix
+from tlhad.master import (
+    NestingSpec,
+    NestingStage,
+    f4_master,
+    f6_master,
+    fourier_master,
+    master_matrix,
+    nest,
+)
 from tlhad.tlrep import (
     TLAnsatz,
     build_local_generator,
+    fixture_u1_ansatz,
     fixture_u2_ansatz,
     reconstruct_m,
     verify_tl,
 )
 
 
-def braid_from_spec(n):
-    spec = fourier_master(n)
-    m = reconstruct_m(master_matrix(spec), fourier(n), spec.lambdas)
-    a = TLAnsatz(m, spec.exponents)
+def braid_from_ansatz(a):
     return braid_from_tl(build_local_generator(a), a.alpha)
+
+
+def braid_from_spec(n, spec=None, h=None):
+    spec = fourier_master(n) if spec is None else spec
+    h = fourier(n) if h is None else h
+    m = reconstruct_m(master_matrix(spec), h, spec.lambdas)
+    return braid_from_ansatz(TLAnsatz(m, spec.exponents))
+
+
+def random_braid(n, seed):
+    """A generic complex R_check: invertible, neither Hecke nor a braid solution."""
+    rng = np.random.default_rng(seed)
+    dim = n * n
+    return BraidData(q_from_nu(3), 3, as_matrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+
+
+def diag_violation():
+    return BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
+
+
+def oracle_floor(b, samples):
+    """Rounding floor of a spectral residual: 1e-14 * n^2 * scale, as in the TL oracle.
+
+    scale bounds an entry of any word's coefficient times the word:
+    the largest monomial |u^i w^j| times (max|R| + max|R^-1|)^3.
+    """
+    n = b.local_dim
+    monomial = max(max(abs(u), 1 / abs(u)) ** 2 * max(abs(w), 1 / abs(w)) ** 2 for u, w in samples)
+    scale = monomial * (max_abs(b.r_check) + max_abs(inverse(b.r_check))) ** 3
+    return 1e-14 * n**2 * scale
+
+
+def flip_by_loop(n):
+    """The site swap as it was first written: one entry per (i, j)."""
+    out = zeros(n * n, n * n)
+    for i in range(n):
+        for j in range(n):
+            out[i * n + j, j * n + i] = 1.0
+    return out
+
+
+#: The box corners e^(+-1 +- i), as every (u, w) pair of them.
+CORNERS = [cmath.exp(complex(x, y)) for x in (-1, 1) for y in (-1, 1)]
+CORNER_SAMPLES = [(u, w) for u in CORNERS for w in CORNERS]
+
+ORACLE_BRAIDS = {
+    **{f"fourier{n}": (lambda n=n: braid_from_spec(n)) for n in range(2, 7)},
+    "f4": lambda: braid_from_spec(4, f4_master(1, 1), f4_family(cmath.exp(0.7j))),
+    "f6": lambda: braid_from_spec(6, f6_master(2, 1, 1), f6_family(cmath.exp(0.3j), cmath.exp(1.1j))),
+    "nested22": lambda: braid_from_spec(4, nest(NestingSpec((NestingStage(2), NestingStage(2))))),
+    "fixture_u1": lambda: braid_from_ansatz(fixture_u1_ansatz()),
+    "fixture_u2": lambda: braid_from_ansatz(fixture_u2_ansatz()),
+    "violation": diag_violation,
+    **{f"random{n}": (lambda n=n: random_braid(n, 20 + n)) for n in (2, 3, 4)},
+}
 
 
 def spectral_ybe_by_baxterize(b, samples):
@@ -238,12 +301,99 @@ class TestSpectralYbe:
             return inverse(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "inverse", counting_inverse)
-        assert check_spectral_ybe(b, samples) == expected
+        got = check_spectral_ybe(b, samples)
+        assert abs(got - expected) <= 1e-9 * expected + oracle_floor(b, samples)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "samples", [[(0, 1.0)], [(1.0, 0)], [(1e-200, 1e-200)], [(1.0, 1.0), (0j, 2.0)]],
+        ids=["u", "w", "uw_underflow", "second_sample"],
+    )
+    def test_zero_parameter_rejected(self, samples):
+        with pytest.raises(ValueError, match="nonzero"):
+            check_spectral_ybe(braid_from_spec(2), samples=samples)
+
+    def test_non_finite_sample_residual_is_not_dropped(self):
+        # At u = 1e-200 the monomial u^-2 overflows. The old loop kept the
+        # running maximum over a NaN and reported 0.0, a pass.
+        violating = check_spectral_ybe(diag_violation(), samples=[(1e-200, 1.0)])
+        assert not math.isfinite(violating)
+        assert not violating <= 1e-8
+        good = braid_from_spec(3)
+        samples = spectral_samples(5, seed=42)
+        assert check_spectral_ybe(good, samples=samples) <= 1e-12
+        mixed = check_spectral_ybe(good, samples=samples[:2] + [(1e-200, 1.0)] + samples[2:])
+        assert not math.isfinite(mixed)
+        assert not mixed <= 1e-8
+
+    def test_no_samples_gives_zero(self):
+        assert check_spectral_ybe(diag_violation(), samples=[]) == 0.0
 
     def test_zero_hecke_parameter_rejected(self):
         with pytest.raises(ValueError, match="q must be nonzero"):
             BraidData(0, 4, identity(4))
+
+
+class TestSpectralYbeAgainstOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
+    @pytest.mark.parametrize("sample_set", ["seed42", "corners"])
+    def test_matches_per_sample_baxterize(self, case, sample_set):
+        b = ORACLE_BRAIDS[case]()
+        samples = spectral_samples(20, 42) if sample_set == "seed42" else CORNER_SAMPLES
+        got = check_spectral_ybe(b, samples=samples)
+        expected = spectral_ybe_by_baxterize(b, samples)
+        # Rounding differs between the two orders of summation; beyond that
+        # floor the residuals must agree to a relative 1e-9.
+        assert abs(got - expected) <= 1e-9 * expected + oracle_floor(b, samples)
+        passes = not (case == "violation" or case.startswith("random"))
+        assert (got <= 1e-8) == passes
+
+    @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
+    def test_braid_residual_is_check_braid(self, case):
+        b = ORACLE_BRAIDS[case]()
+        assert ybe_residuals(b, count=3).braid == check_braid(b.r_check)
+
+    def test_one_inverse_and_kernel_calls_independent_of_samples(self, monkeypatch):
+        b = braid_from_spec(6)
+        inverses, products = [], []
+        real_inverse, real_on_strands = linalg.inverse, linalg.on_strands
+
+        def counting_inverse(*args, **kwargs):
+            inverses.append(args)
+            return real_inverse(*args, **kwargs)
+
+        def counting_on_strands(*args, **kwargs):
+            products.append(args)
+            return real_on_strands(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "inverse", counting_inverse)
+        monkeypatch.setattr(linalg, "on_strands", counting_on_strands)
+        counts = []
+        for count in (5, 50):
+            inverses.clear()
+            products.clear()
+            check_spectral_ybe(b, count=count)
+            assert len(inverses) == 1
+            counts.append(len(products))
+        # check_braid's four products, then per first-strand column block
+        # 4 middle products and 7 words on each side.
+        assert counts == [4 + 22 * 6] * 2
+
+    def test_peak_memory_not_above_the_per_sample_loop(self):
+        b = braid_from_spec(6)
+        samples = spectral_samples(20, 42)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        new = peak(lambda: check_spectral_ybe(b, samples=samples))
+        old = peak(lambda: spectral_ybe_by_baxterize(b, samples))
+        assert new <= old
 
 
 class TestPlainYbe:
@@ -306,6 +456,12 @@ class TestPlainYbe:
 
 
 class TestFlipOperator:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_double_loop(self, n):
+        p = flip_operator(n)
+        assert p.dtype == np.complex128
+        assert np.array_equal(p, flip_by_loop(n))
+
     def test_two_by_two(self):
         p = flip_operator(2)
         expected = as_matrix(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlhad.baxter import braid_from_tl
+from tlhad.baxter import BraidData, braid_from_tl, q_from_nu
 import tlhad
 from tlhad import cli
 from tlhad.cli import main, read_matrix
@@ -25,6 +25,7 @@ from tlhad.master import fourier_master, h0, h1, master_matrix
 from tlhad.tlrep import (
     TLAnsatz,
     build_local_generator,
+    fixture_u1_ansatz,
     fixture_u2,
     fixture_u2_ansatz,
     reconstruct_m,
@@ -55,6 +56,11 @@ ANSATZ = {"m": MATRIX, "exponents": [0, 1], "sites": 3}
 BRAID = {"q": [0.5, 0.5], "nu": [2, 0], "r_check": matrix_to_dict(np.eye(4))}
 OVERFLOWING_SPEC = {"lambdas": [[1e308, 0], [1, 0]], "exponents": [0, 2]}
 HUGE_EXPONENTS = ["--exponents", "0,100000000000"]
+# Sizes whose arrays (2.8 PiB of samples, 142 PiB of Fourier matrix) numpy
+# refuses at once on any machine, and below the 2^63-byte limit past which
+# it raises ValueError instead of MemoryError.
+HUGE_SAMPLES = ["--samples", str(10**14)]
+HUGE_FOURIER = ["gen", "fourier", "--n", str(10**8)]
 
 
 @pytest.fixture
@@ -295,6 +301,32 @@ class TestCheck:
         assert code == 0 and payload["ok"] is True
 
 
+def _braid_docs():
+    rng = np.random.default_rng(5)
+    generic = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    docs = {"generic_n3": BraidData(q_from_nu(3), 3, as_matrix(generic)).to_dict()}
+    for name, a in (("fixture_u1", fixture_u1_ansatz()), ("fixture_u2", fixture_u2_ansatz())):
+        docs[name] = braid_from_tl(build_local_generator(a), a.alpha).to_dict()
+    for n in (2, 5, 6):
+        spec = fourier_master(n)
+        m = reconstruct_m(master_matrix(spec), fourier(n), spec.lambdas)
+        a = TLAnsatz(m, spec.exponents)
+        docs[f"fourier{n}"] = braid_from_tl(build_local_generator(a), a.alpha).to_dict()
+    return docs
+
+
+BRAID_DOCS = _braid_docs()
+
+
+@pytest.mark.parametrize("case", list(BRAID_DOCS))
+def test_ybe_braid_residual_is_check_braids(capsys, workdir, case):
+    (workdir / "braid.json").write_text(json.dumps(BRAID_DOCS[case]))
+    code, braid = run_json(capsys, "check", "braid", "--braid", "braid.json")
+    ybe_code, ybe = run_json(capsys, "check", "ybe", "--braid", "braid.json", "--samples", "5")
+    assert ybe["braid_residual"] == braid["braid_residual"]
+    assert code == ybe_code == (1 if case == "generic_n3" else 0)
+
+
 class TestBuild:
     def test_tl_local_matches_fixture(self, capsys, workdir):
         code, payload = run_json(
@@ -524,6 +556,9 @@ class TestErrors:
                 MATRIX,
                 "need 2 entries",
             ),
+            (["check", "ybe", *HUGE_SAMPLES, "--ansatz"], ANSATZ, "out of memory"),
+            # gen reads no file; in.json is the --out path, left as written.
+            ([*HUGE_FOURIER, "--out"], {}, "out of memory"),
         ],
         ids=[
             "ansatz_null_weight", "ansatz_string_weight", "braid_null_q", "braid_string_nu",
@@ -532,6 +567,7 @@ class TestErrors:
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
             "bool_entry", "master_power_overflow", "master4_power_overflow",
             "master4_power_underflow", "generator_power_overflow", "weight_length_mismatch",
+            "spectral_samples_memory", "fourier_size_memory",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):
