@@ -31,7 +31,6 @@ and every sample is a linear combination of them.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,7 +46,6 @@ __all__ = [
     "hecke_residual",
     "check_braid",
     "baxterize",
-    "baxterize_agreement",
     "spectral_samples",
     "check_spectral_ybe",
     "YbeResiduals",
@@ -76,12 +74,7 @@ class BraidData:
 
     @property
     def local_dim(self) -> int:
-        n = math.isqrt(self.r_check.shape[0])
-        if n * n != self.r_check.shape[0]:
-            raise ValueError(
-                f"braid generator dimension {self.r_check.shape[0]} is not a perfect square"
-            )
-        return n
+        return linalg.local_dim(self.r_check, "braid generator")
 
     def to_dict(self) -> dict:
         return {
@@ -139,16 +132,6 @@ def hecke_residual(b: BraidData) -> float:
     return linalg.max_abs((b.r_check - b.q * eye) @ (b.r_check + (1 / b.q) * eye))
 
 
-def _split_local_dim(r: Matrix, n: int | None) -> int:
-    dim = linalg._require_square(r, "braid generator")
-    root = math.isqrt(dim)
-    if root * root != dim:
-        raise ValueError(f"generator dimension {dim} is not a perfect square")
-    if n is not None and n != root:
-        raise ValueError(f"local dimension {n} inconsistent with generator size {dim}")
-    return root
-
-
 def _braid_defect(r: Matrix, n: int) -> Matrix:
     """R12 R23 R12 - R23 R12 R23 on three strands, R12 = r (x) I and R23 = I (x) r.
 
@@ -168,7 +151,7 @@ def check_braid(r_check: Matrix, n: int | None = None) -> float:
     R23 = I (x) R_check.
     """
     r_check = linalg.as_matrix(r_check)
-    n = _split_local_dim(r_check, n)
+    n = linalg.local_dim(r_check, "braid generator", n)
     return linalg.max_abs(_braid_defect(r_check, n))
 
 
@@ -179,22 +162,6 @@ def baxterize(b: BraidData, u: complex, tol: float = DEFAULT_TOL) -> Matrix:
         raise ValueError("spectral parameter must be nonzero")
     rinv = linalg.inverse(b.r_check, tol)
     return u * b.r_check - (1 / u) * rinv
-
-
-def baxterize_agreement(b: BraidData, u: complex, tol: float = DEFAULT_TOL) -> float:
-    """Distance between the two baxterization formulas at parameter u.
-
-    The closed form (u - 1/u) R_check + ((q - 1/q)/u) I equals the
-    inverse-based form exactly when the Hecke identity
-    R_check^-1 = R_check - (q - 1/q) I holds.
-    """
-    u = complex(u)
-    if u == 0:
-        raise ValueError("spectral parameter must be nonzero")
-    direct = baxterize(b, u, tol)
-    omega = b.q - 1 / b.q
-    closed = (u - 1 / u) * b.r_check + (omega / u) * linalg.identity(b.r_check.shape[0])
-    return linalg.max_abs(direct - closed)
 
 
 def spectral_samples(count: int = 20, seed: int = 42) -> list[tuple[complex, complex]]:
@@ -344,5 +311,5 @@ def check_ybe(r: Matrix, n: int | None = None) -> float:
     permutation of entries, so this is check_braid(Pi @ r).
     """
     r = linalg.as_matrix(r)
-    n = _split_local_dim(r, n)
+    n = linalg.local_dim(r, "R-matrix", n)
     return check_braid(flip_operator(n) @ r, n)

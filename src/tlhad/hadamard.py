@@ -15,11 +15,18 @@ moves, and the standard constructions: Fourier matrices, the two
 printed one- and two-parameter families at sizes 4 and 6, and the
 block construction that glues n blocks of size m into a GHM of size
 n * m.
+
+root_phases is the one place the package decides which root of unity an
+entry is. It reads each entry as an exact reduced phase t/r; the Butson
+order, the pigeonhole obstruction and the master search all work from
+those integers.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +46,7 @@ __all__ = [
     "ghm_residual",
     "is_ghm",
     "butson_residual",
+    "root_phases",
     "butson_order",
     "is_butson",
     "fourier",
@@ -198,9 +206,42 @@ def butson_residual(u: Matrix, q: int) -> float:
     return linalg.max_abs(u - nearest)
 
 
+def root_phases(
+    u: Matrix, limit: int, tol: float = DEFAULT_TOL
+) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+    """Every entry of u as a root of unity exp(2*pi*i*t/r), r <= limit.
+
+    Returns the rows of u as tuples of reduced phase pairs (t, r) with
+    0 <= t < r, or None when some entry is farther than tol from every
+    root of unity of order at most limit. An entry's fraction t/r is the
+    closest one to its phase with denominator at most limit, found by
+    continued fractions, so the cost does not grow with limit.
+    """
+    if limit < 1:
+        raise ValueError("root order limit must be a positive integer")
+    phases = []
+    for row in linalg.as_matrix(u).tolist():
+        snapped = []
+        for z in row:
+            turn = Fraction(cmath.phase(z) / (2 * math.pi) % 1.0).limit_denominator(limit)
+            t, r = turn.numerator % turn.denominator, turn.denominator
+            if abs(z - linalg.unit_root(t, r)) > tol:
+                return None
+            snapped.append((t, r))
+        phases.append(tuple(snapped))
+    return tuple(phases)
+
+
 def butson_order(u: Matrix, tol: float, limit: int) -> int | None:
-    """Minimal q <= limit with butson_residual(u, q) <= tol, or None."""
-    return next((q for q in range(1, limit + 1) if butson_residual(u, q) <= tol), None)
+    """Minimal q <= limit whose q-th roots of unity hold every entry of u, or None.
+
+    That q is the lcm of the entries' orders from root_phases.
+    """
+    phases = root_phases(u, limit, tol)
+    if phases is None:
+        return None
+    q = math.lcm(*(r for row in phases for _, r in row))
+    return q if q <= limit else None
 
 
 def is_butson(u: Matrix, q: int, tol: float = DEFAULT_TOL) -> bool:

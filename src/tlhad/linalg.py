@@ -2,10 +2,9 @@
 
 Row-major complex matrices (numpy complex128 arrays) with the operations
 the higher layers need: Kronecker products, the action of a two-site
-operator on two of three sites, inversion by LAPACK with a condition
-test for singularity, entrywise reciprocal, roots of unity, and
-tolerance-based comparison. Equality of floating-point matrices is
-always tolerance-based; nothing here compares floats exactly.
+operator on two neighbouring sites of three, the local dimension n of
+an n^2 x n^2 operator, inversion by LAPACK with a condition test for
+singularity, entrywise reciprocal, and roots of unity.
 
 The JSON codec of every wire format lives here too. A complex number
 travels as an [re, im] pair of finite JSON numbers, so files round-trip
@@ -15,6 +14,7 @@ JSON integers. The readers raise ValueError naming the offending field.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -32,10 +32,10 @@ __all__ = [
     "dagger",
     "max_abs",
     "kron",
+    "local_dim",
     "on_strands",
     "inverse",
     "hadamard_inverse",
-    "approx_eq",
     "json_fields",
     "json_int",
     "json_complex",
@@ -128,14 +128,29 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
-def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matrix:
-    """(op acting on `strands` of three n-dimensional sites) @ x.
+def local_dim(op: Matrix, what: str = "operator", n: int | None = None) -> int:
+    """The local dimension n of a square n^2 x n^2 operator on two sites.
 
-    op is n^2 x n^2 with row index a_i * n + a_j for strands (i, j), i < j;
-    x has n^3 rows. Strands (0, 1) give kron(op, I) @ x, (1, 2) give
-    kron(I, op) @ x, and (0, 2) the same op on the outer pair. One matrix
-    product of size n^2 x n^2 by n^2 x (n * cols) replaces the n^3 x n^3
-    embedding, so no operator larger than op is formed.
+    Raises ValueError when op is not square, when its size is not a
+    perfect square, or when a given n disagrees with it.
+    """
+    dim = _require_square(op, what)
+    root = math.isqrt(dim)
+    if root * root != dim:
+        raise ValueError(f"{what} dimension {dim} is not a perfect square")
+    if n is not None and n != root:
+        raise ValueError(f"local dimension {n} inconsistent with {what} size {dim}")
+    return root
+
+
+def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matrix:
+    """(op acting on the neighbouring `strands` of three n-dimensional sites) @ x.
+
+    op is n^2 x n^2 with row index a_i * n + a_j for strands (i, j);
+    x has n^3 rows. Strands (0, 1) give kron(op, I) @ x and (1, 2) give
+    kron(I, op) @ x. One matrix product of size n^2 x n^2 by
+    n^2 x (n * cols) replaces the n^3 x n^3 embedding, so no operator
+    larger than op is formed.
     """
     op = np.asarray(op)
     x = np.asarray(x)
@@ -143,8 +158,8 @@ def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matri
         raise ValueError(f"operator must be {n * n}x{n * n}, got {op.shape}")
     if x.ndim != 2 or x.shape[0] != n**3:
         raise ValueError(f"operand must have {n**3} rows, got shape {x.shape}")
-    if strands not in ((0, 1), (1, 2), (0, 2)):
-        raise ValueError(f"strands must be (0, 1), (1, 2) or (0, 2), got {strands}")
+    if strands not in ((0, 1), (1, 2)):
+        raise ValueError(f"strands must be (0, 1) or (1, 2), got {strands}")
     cols = x.shape[1]
     front = np.moveaxis(x.reshape(n, n, n, cols), strands, (0, 1))
     out = (op @ front.reshape(n * n, n * cols)).reshape(n, n, n, cols)
@@ -184,16 +199,6 @@ def hadamard_inverse(a: Matrix) -> Matrix:
         i, j = (int(v) for v in zero[0])
         raise ValueError(f"entrywise inverse undefined: zero entry at ({i}, {j})")
     return 1.0 / a
-
-
-def approx_eq(a: Matrix, b: Matrix, tol: float = DEFAULT_TOL) -> Comparison:
-    """Entrywise comparison: ok iff max |a - b| <= tol. Shapes must match."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch in comparison: {a.shape} vs {b.shape}")
-    residual = max_abs(a - b)
-    return Comparison(residual <= tol, residual)
 
 
 def json_fields(data, what: str, *keys: str) -> tuple:

@@ -18,11 +18,17 @@ parametric families, and iterated ("nested") Fourier products. The
 module also carries two obstruction tools for the converse question of
 which Hadamard matrices are master matrices: a root-counting pigeonhole
 argument and a bounded search by pruned backtracking, plus the two
-printed 6x6 matrices that defeat both.
+printed 6x6 matrices that defeat both. Both tools read the matrix through
+hadamard.root_phases as exact integer phases, never as floats: the
+pigeonhole argument counts distinct phase rows, and the search works in
+Z_q, q the lcm of the entry orders, where a gcd-1 exponent tuple leaves
+each row exactly one eigenvalue phase, so a leaf is decided by integer
+distinctness alone.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -329,50 +335,29 @@ def nest(spec: NestingSpec) -> MasterSpec:
     return MasterSpec(tuple(lambdas), tuple(exponents))
 
 
-def _distinct_row_count(u: Matrix, tol: float) -> int:
-    reps: list[np.ndarray] = []
-    for row in u:
-        if not any(linalg.max_abs(row - rep) <= tol for rep in reps):
-            reps.append(row)
-    return len(reps)
-
-
 def pigeonhole_obstruction(
     u: Matrix, tol: float = DEFAULT_TOL, max_order: int = PIGEONHOLE_ORDER_LIMIT
 ) -> PigeonholeObstruction | None:
     """Root-counting obstruction to being a master matrix.
 
     When every entry of u is an m-th root of unity (m minimal, m <=
-    max_order) and u has more than m pairwise-distinct rows, no master
-    spec with gcd-1 exponents can produce u: each row forces its
-    eigenvalue to be an m-th root of unity too, and there are only m of
-    those. Returns None when the entries are not unimodular, not roots of
-    unity within the probed orders, or when the row count fits.
+    max_order) and u has more than m distinct rows, no master spec with
+    gcd-1 exponents can produce u: each row forces its eigenvalue to be
+    an m-th root of unity too, and there are only m of those. Rows are
+    compared as their exact phases from hadamard.root_phases. Returns
+    None when some entry is not a root of unity of order <= max_order,
+    or when the row count fits.
     """
     u = linalg.as_matrix(u)
     linalg._require_square(u, "obstruction input")
-    if float(np.max(np.abs(np.abs(u) - 1.0))) > tol:
+    phases = hadamard.root_phases(u, max_order, tol)
+    if phases is None:
         return None
-    order = hadamard.butson_order(u, tol, max_order)
-    if order is None:
-        return None
-    rows = _distinct_row_count(u, tol)
-    if rows > order:
+    order = math.lcm(*(r for row in phases for _, r in row))
+    rows = len(set(phases))
+    if order <= max_order and rows > order:
         return PigeonholeObstruction(order, rows)
     return None
-
-
-def _snap_to_phase_fraction(z: complex, root_order_bound: int, tol: float) -> tuple[int, int] | None:
-    """Write z = exp(2*pi*i*t/r) with r <= root_order_bound, or None."""
-    if abs(abs(z) - 1.0) > tol:
-        return None
-    x = (cmath.phase(z) / (2 * math.pi)) % 1.0
-    frac = Fraction(float(x)).limit_denominator(root_order_bound)
-    t = frac.numerator % frac.denominator
-    r = frac.denominator
-    if abs(z - linalg.unit_root(t, r)) > tol:
-        return None
-    return t, r
 
 
 def search_master_representation(
@@ -383,14 +368,23 @@ def search_master_representation(
     Dephases u first when needed (the returned spec then reproduces the
     dephased form). Searches exponent tuples (0, e_2, ..., e_n) with
     distinct entries from 1..exponent_bound and overall gcd 1, in
-    lexicographic order, and solves each row for an eigenvalue among
-    roots of unity of order <= root_order_bound using exact integer
-    phase arithmetic. The tuple is built one exponent column at a time;
-    each column narrows every row's set of candidate eigenvalues, and a
-    prefix that leaves some row without a candidate is cut with all its
-    extensions. Returns the first spec whose master matrix matches u
-    within tol, else None. A None result is conclusive only within the
-    stated bounds.
+    lexicographic order, for eigenvalues among roots of unity of order
+    <= root_order_bound. Every entry is read as an exact phase in Z_q by
+    hadamard.root_phases, q the lcm of the entry orders; with gcd-1
+    exponents, Bezout (sum c_j e_j = 1) makes each eigenvalue a product of
+    powers of its row's entries, hence a q-th root of unity. The tuple is
+    built one exponent column at a time. A row's eigenvalue phases that
+    satisfy v * e_j = target (mod q) for the columns so far form one
+    residue class v = a (mod m), m | q; each column narrows it, and a
+    prefix that leaves some row with no solution is cut with all its
+    extensions. At a gcd-1 leaf every class is a single residue mod q, so
+    the leaf is a master form exactly when the n residues are distinct
+    and of order <= root_order_bound. No float check is made, and no
+    table sized by q or by a bound is built: the work is a few integer
+    operations per row at each node visited.
+    Each eigenvalue is linalg.unit_root of its reduced phase. Returns the
+    first such spec, else None. A None result is conclusive only within
+    the stated bounds.
     """
     if exponent_bound <= 0 or root_order_bound <= 0:
         raise ValueError("search bounds must be positive")
@@ -405,65 +399,64 @@ def search_master_representation(
     if n == 1:
         return MasterSpec((1.0 + 0j,), (0,))
 
-    # Exact phase arithmetic: entry (i, j) = exp(2*pi*i * target[i][j] / L).
-    lcm = math.lcm(*range(1, root_order_bound + 1))
-    target = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            snapped = _snap_to_phase_fraction(u[i, j], root_order_bound, tol)
-            if snapped is None:
-                return None
-            t, r = snapped
-            target[i][j] = t * (lcm // r) % lcm
+    # Exact phase arithmetic: entry (i, j) = exp(2*pi*i * target[i][j] / q).
+    phases = hadamard.root_phases(u, root_order_bound, tol)
+    if phases is None:
+        return None
+    q = math.lcm(*(r for row in phases for _, r in row))
+    target = [[t * (q // r) for t, r in row] for row in phases]
 
-    # Candidate eigenvalue phases: all fractions with denominator <= bound.
-    cands = sorted(
-        {t * (lcm // r) % lcm for r in range(1, root_order_bound + 1) for t in range(r)}
-    )
-    full_mask = (1 << len(cands)) - 1
+    @functools.cache
+    def column(j: int, e: int) -> list[tuple[int, int] | None]:
+        # Row i's solutions of v * e = target[i][j] (mod q): the class
+        # v = b (mod q/g), g = gcd(e, q), or None when g does not divide it.
+        g = math.gcd(e, q)
+        unit = pow(e // g, -1, q // g)
+        return [None if row[j] % g else (row[j] // g * unit % (q // g), q // g) for row in target]
 
-    # solutions[e][x] = bitmask of candidates v with v*e = x (mod L).
-    solutions = []
-    for e in range(exponent_bound + 1):
-        by_phase: dict[int, int] = {}
-        for ci, v in enumerate(cands):
-            x = v * e % lcm
-            by_phase[x] = by_phase.get(x, 0) | 1 << ci
-        solutions.append(by_phase)
-    # columns[j-1][e][i] = candidates for row i when column j carries exponent e.
-    columns = [
-        [[solutions[e].get(target[i][j], 0) for i in range(n)] for e in range(exponent_bound + 1)]
-        for j in range(1, n)
-    ]
-
-    def leaf(tup: tuple[int, ...], masks: list[int]) -> MasterSpec | None:
+    def leaf(tup: tuple[int, ...], classes: list[tuple[int, int]]) -> MasterSpec | None:
+        # gcd 1 makes every class a single residue mod q (Bezout).
         if math.gcd(*tup) != 1:
             return None
-        vals = [cands[(mask & -mask).bit_length() - 1] for mask in masks]
-        lambdas = tuple(cmath.exp(2j * math.pi * v / lcm) for v in vals)
-        try:
-            spec = MasterSpec(lambdas, (0,) + tup)
-        except ValueError:
+        turns = [Fraction(v, q) for v, _ in classes]
+        if len(set(turns)) != n or max(f.denominator for f in turns) > root_order_bound:
             return None
-        return spec if linalg.approx_eq(master_matrix(spec), u, tol).ok else None
+        lambdas = tuple(linalg.unit_root(f.numerator, f.denominator) for f in turns)
+        return MasterSpec(lambdas, (0,) + tup)
 
-    def extend(tup: tuple[int, ...], masks: list[int]) -> MasterSpec | None:
+    def extend(tup: tuple[int, ...], classes: list[tuple[int, int]]) -> MasterSpec | None:
         # Exponents are tried in increasing order, so leaves are visited in
         # lexicographic order and the first match is the least tuple.
         if len(tup) == n - 1:
-            return leaf(tup, masks)
-        column = columns[len(tup)]
+            return leaf(tup, classes)
+        j = len(tup) + 1
         for e in range(1, exponent_bound + 1):
             if e in tup:
                 continue
-            narrowed = [mask & row for mask, row in zip(masks, column[e])]
-            if all(narrowed):
+            narrowed = [_meet(x, y) for x, y in zip(classes, column(j, e % q))]
+            if None not in narrowed:
                 spec = extend(tup + (e,), narrowed)
                 if spec is not None:
                     return spec
         return None
 
-    return extend((), [full_mask] * n)
+    return extend((), [(0, 1)] * n)
+
+
+def _meet(x: tuple[int, int], y: tuple[int, int] | None) -> tuple[int, int] | None:
+    """Residue class where v = a (mod m) and v = b (mod k) meet, x = (a, m), y = (b, k).
+
+    Returns (c, lcm(m, k)) with c the common solution, or None when the
+    classes are disjoint or y is None (no solution).
+    """
+    if y is None:
+        return None
+    (a, m), (b, k) = x, y
+    g = math.gcd(m, k)
+    if (b - a) % g:
+        return None
+    k //= g
+    return (a + m * ((b - a) // g * pow(m // g, -1, k) % k)) % (m * k), m * k
 
 
 def h0() -> Matrix:

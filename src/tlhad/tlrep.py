@@ -31,7 +31,6 @@ two printed 9x9 reference generators.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -207,10 +206,7 @@ def verify_tl_local(t_local: Matrix, nu: complex, sites: int) -> TLReport:
     is the same for any sites >= 3.
     """
     t_local = linalg.as_matrix(t_local)
-    dim = linalg._require_square(t_local, "local generator")
-    n = math.isqrt(dim)
-    if n * n != dim:
-        raise ValueError(f"local generator dimension {dim} is not a perfect square")
+    n = linalg.local_dim(t_local, "local generator")
     if sites < 2:
         raise ValueError("need at least 2 sites")
     nu = complex(nu)

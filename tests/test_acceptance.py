@@ -29,7 +29,7 @@ from tlhad.hadamard import (
     fourier,
     is_ghm,
 )
-from tlhad.linalg import approx_eq, as_matrix, diag, identity, matrix_to_dict, max_abs
+from tlhad.linalg import as_matrix, diag, identity, matrix_to_dict, max_abs
 from tlhad.master import (
     MasterSpec,
     NestingSpec,
@@ -89,16 +89,14 @@ def test_c1_fixture_u2_via_cli(tmp_path, capsys):
         elapsed = time.perf_counter() - started
         assert code == 0
         built = read_matrix(str(out_path))
-        compare = approx_eq(built, fixture_u2(), 1e-12)
-        assert compare.ok, compare.max_residual
+        np.testing.assert_allclose(built, fixture_u2(), rtol=0, atol=1e-12)
         assert elapsed < 1.0, elapsed
 
 
 def test_c2_fixture_u1_weighted_build():
     with criterion(2, "printed weighted fixture"):
         built = build_local_generator(fixture_u1_ansatz())
-        compare = approx_eq(built, fixture_u1(), 1e-12)
-        assert compare.ok, compare.max_residual
+        np.testing.assert_allclose(built, fixture_u1(), rtol=0, atol=1e-12)
 
 
 def test_c3_tl_relations_for_fourier_masters():

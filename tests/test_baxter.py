@@ -10,7 +10,6 @@ import pytest
 from tlhad.baxter import (
     BraidData,
     baxterize,
-    baxterize_agreement,
     braid_from_tl,
     check_braid,
     check_spectral_ybe,
@@ -25,7 +24,6 @@ from tlhad.baxter import (
 from tlhad import linalg
 from tlhad.hadamard import f4_family, f6_family, fourier
 from tlhad.linalg import (
-    approx_eq,
     as_matrix,
     identity,
     inverse,
@@ -148,7 +146,7 @@ class TestQFromNu:
 class TestBraidFromTL:
     def test_zero_generator_gives_scalar_braid(self):
         b = braid_from_tl(zeros(4, 4), 3)
-        assert approx_eq(b.r_check, q_from_nu(3) * identity(4), 1e-12).ok
+        np.testing.assert_allclose(b.r_check, q_from_nu(3) * identity(4), rtol=0, atol=1e-12)
         assert hecke_residual(b) <= 1e-10
 
     def test_fixture_u2(self):
@@ -179,9 +177,7 @@ class TestHecke:
         b = braid_from_spec(3)
         omega = b.q - 1 / b.q
         direct = inverse(b.r_check)
-        assert approx_eq(
-            direct, b.r_check - omega * identity(9), 1e-10
-        ).ok
+        np.testing.assert_allclose(direct, b.r_check - omega * identity(9), rtol=0, atol=1e-10)
 
     def test_json_round_trip(self):
         b = braid_from_spec(2)
@@ -218,18 +214,27 @@ class TestCheckBraid:
             check_braid(zeros(6, 6))
 
 
+def closed_form(b, u):
+    """(u - 1/u) R_check + ((q - 1/q)/u) I, the Hecke form of baxterize(b, u)."""
+    omega = b.q - 1 / b.q
+    return (u - 1 / u) * b.r_check + (omega / u) * identity(b.r_check.shape[0])
+
+
 class TestBaxterize:
     def test_unit_spectral_parameter(self):
         b = braid_from_spec(2)
         omega = b.q - 1 / b.q
         r1 = baxterize(b, 1)
-        assert approx_eq(r1, omega * identity(4), 1e-10).ok
+        np.testing.assert_allclose(r1, omega * identity(4), rtol=0, atol=1e-10)
 
     def test_agreement_with_closed_form(self):
+        # baxterize(b, u) - closed form = R^-1 (R - q I)(R + I/q) / u: the
+        # closed form agrees exactly as far as the Hecke relation holds.
         a = fixture_u2_ansatz()
         b = braid_from_tl(build_local_generator(a), a.alpha)
+        assert hecke_residual(b) <= 1e-10
         for u in (2, 0.5, 1j, 0.3 - 0.7j):
-            assert baxterize_agreement(b, u) <= 1e-10
+            np.testing.assert_allclose(baxterize(b, u), closed_form(b, u), rtol=0, atol=1e-10)
 
     def test_zero_spectral_parameter_rejected(self):
         b = braid_from_spec(2)
@@ -240,7 +245,8 @@ class TestBaxterize:
         # nu = 4 gives q = 1 and the closed form still matches.
         t = zeros(4, 4)
         b = braid_from_tl(t, 4)
-        assert baxterize_agreement(b, 2 + 1j) <= 1e-12
+        assert hecke_residual(b) <= 1e-12
+        np.testing.assert_allclose(baxterize(b, 2 + 1j), closed_form(b, 2 + 1j), rtol=0, atol=1e-12)
 
 
 class TestSpectralSamples:
@@ -400,7 +406,7 @@ class TestPlainYbe:
     def test_flip_braid_gives_identity_r(self):
         b = BraidData(1, 4, flip_operator(2))
         r = to_plain_r(b)
-        assert approx_eq(r, identity(4), 0).ok
+        np.testing.assert_allclose(r, identity(4), rtol=0, atol=0)
         assert check_ybe(r) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -467,7 +473,7 @@ class TestFlipOperator:
         expected = as_matrix(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
         )
-        assert approx_eq(p, expected, 0).ok
+        np.testing.assert_allclose(p, expected, rtol=0, atol=0)
 
     def test_involution(self):
         for n in (2, 3, 4):

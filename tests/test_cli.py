@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import tlhad
 from tlhad import cli
 from tlhad.cli import main, read_matrix
 from tlhad.hadamard import fourier
-from tlhad.linalg import approx_eq, as_matrix, matrix_to_dict
+from tlhad.linalg import as_matrix, matrix_to_dict
 from tlhad.master import fourier_master, h0, h1, master_matrix
 from tlhad.tlrep import (
     TLAnsatz,
@@ -98,7 +99,7 @@ class TestGen:
                 for i in range(3)
             ]
         )
-        assert approx_eq(back, fourier(3), 1e-14).ok
+        np.testing.assert_allclose(back, fourier(3), rtol=0, atol=1e-14)
 
     def test_output_file(self, capsys, workdir):
         code, out, err = run(
@@ -346,7 +347,7 @@ class TestBuild:
                 for i in range(9)
             ]
         )
-        assert approx_eq(built, fixture_u2(), 1e-12).ok
+        np.testing.assert_allclose(built, fixture_u2(), rtol=0, atol=1e-12)
 
     def test_tl_local_huge_exponent_difference(self, capsys, workdir):
         write_matrix("m.json", np.eye(2))
@@ -440,6 +441,32 @@ class TestSearch:
         assert code == 0
         assert payload["found"] is True
         assert payload["spec"]["exponents"] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "exponent_bound, root_order_bound",
+        [("4", "1000"), ("3000000", "12")],
+        ids=["root_order_1000", "exponent_3000000"],
+    )
+    def test_large_bounds_cost_only_the_visited_nodes(
+        self, capsys, workdir, exponent_bound, root_order_bound
+    ):
+        write_matrix("f3.json", fourier(3))
+        started = time.perf_counter()
+        code, payload = run_json(
+            capsys,
+            "search",
+            "master-rep",
+            "--matrix",
+            "f3.json",
+            "--exponent-bound",
+            exponent_bound,
+            "--root-order-bound",
+            root_order_bound,
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert payload["spec"]["exponents"] == [0, 1, 2]
+        assert elapsed < 1.0, elapsed
 
     def test_not_found_still_exits_zero(self, capsys, workdir):
         write_matrix("h0.json", h0())

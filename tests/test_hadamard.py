@@ -25,8 +25,9 @@ from tlhad.hadamard import (
     is_chm,
     is_ghm,
     permutation_matrix,
+    root_phases,
 )
-from tlhad.linalg import approx_eq, as_matrix, diag, identity, kron, unit_root
+from tlhad.linalg import as_matrix, diag, identity, kron, unit_root
 
 
 def random_unimodular(rng, n):
@@ -35,15 +36,15 @@ def random_unimodular(rng, n):
 
 class TestFourier:
     def test_size_one(self):
-        assert approx_eq(fourier(1), as_matrix([[1]]), 0).ok
+        np.testing.assert_allclose(fourier(1), as_matrix([[1]]), rtol=0, atol=0)
 
     def test_size_two(self):
-        assert approx_eq(fourier(2), as_matrix([[1, 1], [1, -1]]), 1e-15).ok
+        np.testing.assert_allclose(fourier(2), as_matrix([[1, 1], [1, -1]]), rtol=0, atol=1e-15)
 
     def test_size_three(self):
         w = unit_root(1, 3)
         expected = as_matrix([[1, 1, 1], [1, w, w * w], [1, w * w, w]])
-        assert approx_eq(fourier(3), expected, 1e-15).ok
+        np.testing.assert_allclose(fourier(3), expected, rtol=0, atol=1e-15)
 
     def test_generalized_index(self):
         f = fourier(5, ell=2)
@@ -165,17 +166,42 @@ class TestButson:
         assert butson_order(fourier(6), 1e-9, 5) is None
         assert butson_order(f4_family(2), 1e-9, 48) is None
 
+    def test_mixed_orders_give_their_lcm(self):
+        # Entries of order 4 and 3: the least common root order is 12.
+        u = as_matrix([[1, 1j], [unit_root(1, 3), 1]])
+        assert butson_order(u, 1e-9, 12) == 12
+        assert butson_order(u, 1e-9, 11) is None
+
+
+class TestRootPhases:
+    def test_reduced_fractions(self):
+        phases = root_phases(fourier(6), 6)
+        assert phases[2] == ((0, 1), (1, 3), (2, 3), (0, 1), (1, 3), (2, 3))
+        assert phases[3] == ((0, 1), (1, 2)) * 3
+        assert root_phases(fourier(6), 5) is None
+
+    def test_not_a_root_of_unity(self):
+        assert root_phases(f4_family(2), 48) is None
+        assert root_phases(as_matrix([[1.5]]), 48) is None
+        assert root_phases(as_matrix([[unit_root(1, 7) * (1 + 1e-8)]]), 48) is None
+        assert root_phases(as_matrix([[unit_root(1, 7) * (1 + 1e-10)]]), 48) == (((1, 7),),)
+
+    def test_cost_does_not_grow_with_the_limit(self):
+        assert root_phases(fourier(5), 10**12) == root_phases(fourier(5), 5)
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(ValueError):
+            root_phases(fourier(2), 0)
+
 
 class TestEquivalenceMoves:
     def test_identity_move_is_identity(self):
         u = fourier(3)
-        assert approx_eq(apply_equivalence(u, identity_move(3)), u, 0).ok
+        np.testing.assert_allclose(apply_equivalence(u, identity_move(3)), u, rtol=0, atol=0)
 
     def test_permutation_matrix(self):
         p = permutation_matrix((2, 0, 1))
-        assert approx_eq(
-            p, as_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 0
-        ).ok
+        np.testing.assert_allclose(p, as_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), rtol=0, atol=0)
 
     def test_row_swap_preserves_ghm(self):
         move = EquivalenceMove((1, 0, 2), (1, 1, 1), (1, 1, 1), (0, 1, 2))
@@ -214,7 +240,7 @@ class TestEquivalenceMoves:
             )
             forward = apply_equivalence(u, move)
             back = apply_equivalence(forward, invert_move(move))
-            assert approx_eq(back, u, 1e-12).ok
+            np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)
 
     def test_move_validation(self):
         with pytest.raises(ValueError):
@@ -240,11 +266,11 @@ class TestDephase:
         d, move = dephase(u)
         assert np.allclose(d[0, :], 1.0)
         assert np.allclose(d[:, 0], 1.0)
-        assert approx_eq(apply_equivalence(u, move), d, 1e-13).ok
+        np.testing.assert_allclose(apply_equivalence(u, move), d, rtol=0, atol=1e-13)
 
     def test_already_dephased_fixed_point(self):
         d, move = dephase(fourier(3))
-        assert approx_eq(d, fourier(3), 1e-15).ok
+        np.testing.assert_allclose(d, fourier(3), rtol=0, atol=1e-15)
         assert move.left_perm == (0, 1, 2) and move.right_perm == (0, 1, 2)
 
     def test_preserves_ghm_verdict(self):
@@ -277,7 +303,7 @@ class TestF4Family:
         expected = as_matrix(
             [[1, 1, 1, 1], [1, -1, 1, -1], [1, 3, -1, -3], [1, -3, -1, 3]]
         )
-        assert approx_eq(u, expected, 1e-15).ok
+        np.testing.assert_allclose(u, expected, rtol=0, atol=1e-15)
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -324,17 +350,17 @@ class TestDita:
     def test_equal_blocks_reduce_to_kron(self):
         f2, f3 = fourier(2), fourier(3)
         built = dita(f2, [f3, f3])
-        assert approx_eq(built, kron(f2, f3), 1e-15).ok
+        np.testing.assert_allclose(built, kron(f2, f3), rtol=0, atol=1e-15)
 
     def test_reproduces_f6_family(self):
         a, b = 2 + 0j, 0.5j
         blocks = [fourier(3), fourier(3) @ diag([1, a, b])]
-        assert approx_eq(dita(fourier(2), blocks), f6_family(a, b), 1e-14).ok
+        np.testing.assert_allclose(dita(fourier(2), blocks), f6_family(a, b), rtol=0, atol=1e-14)
 
     def test_reproduces_f4_family(self):
         a = 3 + 0j
         blocks = [fourier(2), fourier(2) @ diag([1, a])]
-        assert approx_eq(dita(fourier(2), blocks), f4_family(a), 1e-14).ok
+        np.testing.assert_allclose(dita(fourier(2), blocks), f4_family(a), rtol=0, atol=1e-14)
 
     def test_ghm_closure(self):
         rng = np.random.default_rng(9)

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from tlhad import linalg
 from tlhad.linalg import (
-    Comparison,
     SingularMatrixError,
-    approx_eq,
     as_matrix,
     complex_to_json,
     dagger,
@@ -24,6 +22,7 @@ from tlhad.linalg import (
     identity,
     inverse,
     kron,
+    local_dim,
     matrix_from_dict,
     matrix_to_dict,
     max_abs,
@@ -102,7 +101,7 @@ class TestArithmetic:
                 for p in range(3):
                     for q in range(2):
                         expected[i * 3 + p, j * 2 + q] = a[i, j] * b[p, q]
-        assert approx_eq(k, expected, 1e-14).ok
+        np.testing.assert_allclose(k, expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_on_strands_matches_kron_product(self, n):
@@ -111,22 +110,35 @@ class TestArithmetic:
         op = as_matrix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         x = as_matrix(rng.normal(size=(n**3, n**3)) + 1j * rng.normal(size=(n**3, n**3)))
         eye = identity(n)
-        swap23 = kron(eye, as_matrix(np.eye(n * n)[[j * n + i for i in range(n) for j in range(n)]]))
         embedded = {
             (0, 1): kron(op, eye),
             (1, 2): kron(eye, op),
-            (0, 2): swap23 @ kron(op, eye) @ swap23,
         }
         for strands, full in embedded.items():
-            assert approx_eq(on_strands(op, x, strands, n), full @ x, 1e-13).ok, strands
+            np.testing.assert_allclose(
+                on_strands(op, x, strands, n), full @ x, rtol=0, atol=1e-13, err_msg=str(strands)
+            )
 
     def test_on_strands_rejects_bad_input(self):
         with pytest.raises(ValueError):
             on_strands(identity(4), identity(8), (0, 3), 2)
+        # Only neighbouring strands: the outer pair has no caller.
+        with pytest.raises(ValueError, match="strands"):
+            on_strands(identity(4), identity(8), (0, 2), 2)
         with pytest.raises(ValueError):
             on_strands(identity(4), identity(4), (0, 1), 2)
         with pytest.raises(ValueError):
             on_strands(identity(9), identity(8), (0, 1), 2)
+
+    def test_local_dim(self):
+        assert local_dim(identity(9)) == 3
+        assert local_dim(identity(9), "generator", 3) == 3
+        with pytest.raises(ValueError, match="generator must be square"):
+            local_dim(zeros(4, 9), "generator")
+        with pytest.raises(ValueError, match="generator dimension 8 is not a perfect square"):
+            local_dim(identity(8), "generator")
+        with pytest.raises(ValueError, match="local dimension 2 inconsistent"):
+            local_dim(identity(9), "generator", 2)
 
     def test_dagger(self):
         m = as_matrix([[1 + 2j, 3], [0, -1j]])
@@ -174,12 +186,12 @@ class TestInverse:
                 rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             ) + n * identity(n)
             inv = inverse(m)
-            assert approx_eq(m @ inv, identity(n), 1e-10).ok
-            assert approx_eq(inv @ m, identity(n), 1e-10).ok
+            np.testing.assert_allclose(m @ inv, identity(n), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(inv @ m, identity(n), rtol=0, atol=1e-10)
 
     def test_diagonal(self):
         inv = inverse(diag([2, 4j]))
-        assert approx_eq(inv, diag([0.5, -0.25j]), 1e-15).ok
+        np.testing.assert_allclose(inv, diag([0.5, -0.25j]), rtol=0, atol=1e-15)
 
     def test_zero_matrix_is_singular(self):
         with pytest.raises(SingularMatrixError):
@@ -198,11 +210,11 @@ class TestInverse:
         with pytest.raises(SingularMatrixError):
             inverse(m, tol=1e-9)
         loose = inverse(m, tol=1e-16)
-        assert approx_eq(m @ loose, identity(2), 1e-7).ok
+        np.testing.assert_allclose(m @ loose, identity(2), rtol=0, atol=1e-7)
 
     def test_uniformly_small_matrix_is_not_singular(self):
         inv = inverse(diag([1e-12, 1e-12]))
-        assert approx_eq(inv, diag([1e12, 1e12]), 1e-3).ok
+        np.testing.assert_allclose(inv, diag([1e12, 1e12]), rtol=0, atol=1e-3)
 
     def test_ill_conditioned_is_singular_at_default_tol(self):
         # Every pivot is 1, but max|A| * max|A^-1| = 1e20 reaches 1 / tol.
@@ -219,32 +231,17 @@ class TestHadamardInverse:
     def test_entrywise_reciprocal(self):
         m = as_matrix([[1, 2], [1j, -1]])
         h = hadamard_inverse(m)
-        assert approx_eq(h, as_matrix([[1, 0.5], [-1j, -1]]), 1e-15).ok
+        np.testing.assert_allclose(h, as_matrix([[1, 0.5], [-1j, -1]]), rtol=0, atol=1e-15)
 
     def test_involution(self):
         rng = np.random.default_rng(2)
         m = as_matrix(np.exp(1j * rng.uniform(0, 2 * math.pi, size=(4, 4))))
-        assert approx_eq(hadamard_inverse(hadamard_inverse(m)), m, 1e-14).ok
+        np.testing.assert_allclose(hadamard_inverse(hadamard_inverse(m)), m, rtol=0, atol=1e-14)
 
     def test_zero_entry_reported_by_position(self):
         m = as_matrix([[1, 1], [0, 1]])
         with pytest.raises(ValueError, match=r"\(1, 0\)"):
             hadamard_inverse(m)
-
-
-class TestApproxEq:
-    def test_equal_within_tolerance(self):
-        c = approx_eq(identity(2), identity(2) + 1e-12, 1e-9)
-        assert isinstance(c, Comparison)
-        assert c.ok and c.max_residual == pytest.approx(1e-12)
-
-    def test_unequal(self):
-        c = approx_eq(identity(2), zeros(2, 2), 1e-9)
-        assert not c.ok and c.max_residual == 1.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            approx_eq(identity(2), identity(3), 1e-9)
 
 
 class TestJsonRoundTrip:

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,15 +14,17 @@ from hypothesis import strategies as st
 from tlhad.hadamard import (
     EquivalenceMove,
     apply_equivalence,
+    butson_order,
+    butson_residual,
     dephase,
     f4_family,
     f6_family,
     fourier,
     is_chm,
     is_ghm,
+    root_phases,
 )
 from tlhad.linalg import (
-    approx_eq,
     as_matrix,
     hadamard_inverse,
     identity,
@@ -41,7 +44,6 @@ from tlhad.master import (
     master_matrix,
     master_polynomial_eval,
     nest,
-    _snap_to_phase_fraction,
     pigeonhole_obstruction,
     search_master_representation,
 )
@@ -94,15 +96,19 @@ class TestMasterSpec:
 
 class TestMasterMatrix:
     def test_single_eigenvalue(self):
-        assert approx_eq(
-            master_matrix(MasterSpec((2,), (3,))), as_matrix([[8]]), 1e-14
-        ).ok
+        np.testing.assert_allclose(
+            master_matrix(MasterSpec((2,), (3,))), as_matrix([[8]]), rtol=0, atol=1e-14
+        )
 
     def test_fourier_two(self):
-        assert approx_eq(master_matrix(fourier_master(2)), fourier(2), 1e-15).ok
+        np.testing.assert_allclose(
+            master_matrix(fourier_master(2)), fourier(2), rtol=0, atol=1e-15
+        )
 
     def test_fourier_three(self):
-        assert approx_eq(master_matrix(fourier_master(3)), fourier(3), 1e-14).ok
+        np.testing.assert_allclose(
+            master_matrix(fourier_master(3)), fourier(3), rtol=0, atol=1e-14
+        )
 
     def test_entry_formula(self):
         spec = f4_master(2, 1)
@@ -246,7 +252,7 @@ class TestF4Master:
 
         spec = f4_master(1, 1)
         assert spec.exponents == (0, 1, 2, 3)
-        assert approx_eq(master_matrix(spec), f4_family(1j), 1e-14).ok
+        np.testing.assert_allclose(master_matrix(spec), f4_family(1j), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 1), (2, 3), (3, 3)])
     def test_master_condition(self, k, m):
@@ -296,7 +302,7 @@ class TestF6Master:
         family = f6_family(a, b)
         om = master_matrix(spec)
         perm = (0, 2, 4, 1, 3, 5)
-        assert approx_eq(as_matrix(om[list(perm)]), family, 1e-13).ok
+        np.testing.assert_allclose(as_matrix(om[list(perm)]), family, rtol=0, atol=1e-13)
 
     def test_out_of_range_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -383,15 +389,15 @@ class TestSearch:
         spec = search_master_representation(fourier(3), 4, 6)
         assert spec is not None
         assert spec.exponents == (0, 1, 2)
-        assert approx_eq(master_matrix(spec), fourier(3), 1e-9).ok
+        np.testing.assert_allclose(master_matrix(spec), fourier(3), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_recovers_fourier_masters(self, n):
         spec = search_master_representation(master_matrix(fourier_master(n)), n, n)
         assert spec is not None
-        assert approx_eq(
-            master_matrix(spec), master_matrix(fourier_master(n)), 1e-9
-        ).ok
+        np.testing.assert_allclose(
+            master_matrix(spec), master_matrix(fourier_master(n)), rtol=0, atol=1e-9
+        )
 
     def test_h0_has_no_representation(self):
         assert search_master_representation(h0(), 12, 12) is None
@@ -410,8 +416,43 @@ class TestSearch:
         assert spec is not None and spec.exponents == (0,)
 
 
+def snap_oracle(z, root_order_bound, tol):
+    """The former per-entry snap: z = exp(2*pi*i*t/r) with r <= root_order_bound, or None."""
+    if abs(abs(z) - 1.0) > tol:
+        return None
+    x = (cmath.phase(z) / (2 * math.pi)) % 1.0
+    frac = Fraction(float(x)).limit_denominator(root_order_bound)
+    t = frac.numerator % frac.denominator
+    r = frac.denominator
+    if abs(z - unit_root(t, r)) > tol:
+        return None
+    return t, r
+
+
+def butson_order_oracle(u, tol, limit):
+    """The former per-q scan: minimal q <= limit with butson_residual(u, q) <= tol."""
+    return next((q for q in range(1, limit + 1) if butson_residual(u, q) <= tol), None)
+
+
+def pigeonhole_oracle(u, tol, max_order):
+    """The former float obstruction: Butson order from the scan, rows compared within tol."""
+    if float(np.max(np.abs(np.abs(u) - 1.0))) > tol:
+        return None
+    order = butson_order_oracle(u, tol, max_order)
+    if order is None:
+        return None
+    reps = []
+    for row in u:
+        if not any(max_abs(row - rep) <= tol for rep in reps):
+            reps.append(row)
+    return (order, len(reps)) if len(reps) > order else None
+
+
 def _enumerated_search(u, exponent_bound, root_order_bound, tol=1e-9):
-    """The former search, kept as the oracle: it tests every exponent permutation whole."""
+    """The former search, kept as the oracle: it tests every exponent permutation whole.
+
+    Only its eigenvalues follow the current search: unit_root of the reduced phase.
+    """
     u = as_matrix(u)
     n = u.shape[0]
     ones = np.ones(n)
@@ -423,7 +464,7 @@ def _enumerated_search(u, exponent_bound, root_order_bound, tol=1e-9):
     target = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            snapped = _snap_to_phase_fraction(u[i, j], root_order_bound, tol)
+            snapped = snap_oracle(u[i, j], root_order_bound, tol)
             if snapped is None:
                 return None
             t, r = snapped
@@ -457,12 +498,13 @@ def _enumerated_search(u, exponent_bound, root_order_bound, tol=1e-9):
                 break
             vals.append(cands[(mask & -mask).bit_length() - 1])
         else:
-            lambdas = tuple(cmath.exp(2j * math.pi * v / lcm) for v in vals)
+            turns = (Fraction(v, lcm) for v in vals)
+            lambdas = tuple(unit_root(f.numerator, f.denominator) for f in turns)
             try:
                 spec = MasterSpec(lambdas, (0,) + tup)
             except ValueError:
                 continue
-            if approx_eq(master_matrix(spec), u, tol).ok:
+            if max_abs(master_matrix(spec) - u) <= tol:
                 return spec
     return None
 
@@ -495,6 +537,50 @@ def _oracle_cases():
 
 
 ORACLE_CASES = _oracle_cases()
+
+
+def _butson_moved(u, q, seed):
+    """u under seeded row/column permutations and diagonals of q-th roots of unity."""
+    rng = np.random.default_rng(seed)
+    n = u.shape[0]
+    roots = lambda: tuple(unit_root(int(k), q) for k in rng.integers(0, q, size=n))
+    perm = lambda: tuple(int(p) for p in rng.permutation(n))
+    return apply_equivalence(u, EquivalenceMove(perm(), roots(), roots(), perm()))
+
+
+BUTSON_MOVES = [
+    (f"fourier{n}_q{q}", _butson_moved(fourier(n), q, 100 * n + q))
+    for n in range(2, 7)
+    for q in (2, 3, 4, 6, 8, 12)
+] + [(f"h0_q{q}", _butson_moved(h0(), q, q)) for q in (2, 3)]
+PHASE_LIMITS = (5, 12, 36, 48)
+
+
+def _phase_verdicts(u, limit, tol=1e-9):
+    phases = root_phases(u, limit, tol)
+    obs = pigeonhole_obstruction(u, tol, limit)
+    return phases, butson_order(u, tol, limit), obs and (obs.root_order, obs.distinct_rows)
+
+
+def _oracle_verdicts(u, limit, tol=1e-9):
+    snapped = tuple(tuple(snap_oracle(z, limit, tol) for z in row) for row in u)
+    phases = None if any(None in row for row in snapped) else snapped
+    return phases, butson_order_oracle(u, tol, limit), pigeonhole_oracle(u, tol, limit)
+
+
+@pytest.mark.parametrize("limit", PHASE_LIMITS)
+@pytest.mark.parametrize(
+    "name, u", ORACLE_CASES + BUTSON_MOVES, ids=[name for name, _ in ORACLE_CASES + BUTSON_MOVES]
+)
+def test_phase_decisions_match_the_float_oracles(name, u, limit):
+    assert _phase_verdicts(u, limit) == _oracle_verdicts(u, limit)
+
+
+def test_phase_oracle_cases_reach_every_verdict():
+    verdicts = [_phase_verdicts(u, 48) for _, u in ORACLE_CASES + BUTSON_MOVES]
+    assert sum(phases is None for phases, _, _ in verdicts) == 6
+    assert sum(order is not None for _, order, _ in verdicts) == 55
+    assert sum(obs is not None for _, _, obs in verdicts) == 6
 #: (exponent bound, root-order bound); the old search costs 0.1 s per case at 12/12.
 ORACLE_BOUNDS = [(4, 4), (6, 12), (8, 8), (12, 6), (12, 12)]
 
@@ -519,6 +605,17 @@ def test_search_matches_the_enumeration_at_16(name):
     assert (spec and (spec.lambdas, spec.exponents)) == (
         expected and (expected.lambdas, expected.exponents)
     )
+
+
+def test_high_order_entries_cost_only_the_visited_nodes():
+    # Entries of prime order 999983: Z_q has about 10^6 phases, none of them tabulated.
+    p = 999983
+    spec = MasterSpec((1, unit_root(1, p), unit_root(5, p)), (0, 1, 2))
+    started = time.perf_counter()
+    found = search_master_representation(master_matrix(spec), 4, p)
+    assert time.perf_counter() - started < 1.0
+    assert found is not None and found.exponents == (0, 1, 2)
+    assert search_master_representation(master_matrix(spec), 4, p - 1) is None
 
 
 @pytest.mark.parametrize("u", [h0(), h1(1j)], ids=["h0", "h1"])

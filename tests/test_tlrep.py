@@ -8,7 +8,6 @@ import pytest
 
 from tlhad.hadamard import dephase, f4_family, fourier, is_ghm
 from tlhad.linalg import (
-    approx_eq,
     as_matrix,
     diag,
     identity,
@@ -81,7 +80,7 @@ class TestTLAnsatz:
     def test_json_round_trip(self):
         a = fixture_u1_ansatz()
         back = TLAnsatz.from_dict(a.to_dict())
-        assert approx_eq(back.m, a.m, 0).ok
+        np.testing.assert_allclose(back.m, a.m, rtol=0, atol=0)
         assert back.exponents == a.exponents
         assert np.array_equal(back.v, a.v)
         assert back.sites == a.sites
@@ -91,15 +90,15 @@ class TestBuildLocalGenerator:
     def test_one_dimensional_ansatz(self):
         a = TLAnsatz(as_matrix([[5]]), (0,))
         t = build_local_generator(a)
-        assert approx_eq(t, as_matrix([[1]]), 1e-15).ok
+        np.testing.assert_allclose(t, as_matrix([[1]]), rtol=0, atol=1e-15)
 
     def test_matches_printed_u2(self):
         t = build_local_generator(fixture_u2_ansatz())
-        assert approx_eq(t, fixture_u2(), 1e-12).ok
+        np.testing.assert_allclose(t, fixture_u2(), rtol=0, atol=1e-12)
 
     def test_matches_printed_u1(self):
         t = build_local_generator(fixture_u1_ansatz())
-        assert approx_eq(t, fixture_u1(), 1e-12).ok
+        np.testing.assert_allclose(t, fixture_u1(), rtol=0, atol=1e-12)
 
     def test_block_formula(self):
         # t = sum_ab v_a w_b (e_ab kron m^(n_a - n_b)); check one block.
@@ -108,7 +107,7 @@ class TestBuildLocalGenerator:
         n = a.n
         block_01 = t[0 * n:(0 + 1) * n, 1 * n:(1 + 1) * n]
         expected = np.linalg.matrix_power(a.m, a.exponents[0] - a.exponents[1])
-        assert approx_eq(as_matrix(block_01), expected, 1e-12).ok
+        np.testing.assert_allclose(as_matrix(block_01), expected, rtol=0, atol=1e-12)
 
     def test_rank_is_one_in_block_sense(self):
         # The local generator has rank n (one dyad per internal factor).
@@ -151,19 +150,19 @@ class TestEmbed:
     def test_two_sites_identity_padding(self):
         a = fixture_u2_ansatz(sites=2)
         local = build_local_generator(a)
-        assert approx_eq(embed(local, 1, 2, a.n), local, 0).ok
+        np.testing.assert_allclose(embed(local, 1, 2, a.n), local, rtol=0, atol=0)
 
     def test_three_sites_left(self):
         a = fixture_u2_ansatz()
         local = build_local_generator(a)
         left = embed(local, 1, 3, a.n)
-        assert approx_eq(left, kron(local, identity(3)), 0).ok
+        np.testing.assert_allclose(left, kron(local, identity(3)), rtol=0, atol=0)
 
     def test_three_sites_right(self):
         a = fixture_u2_ansatz()
         local = build_local_generator(a)
         right = embed(local, 2, 3, a.n)
-        assert approx_eq(right, kron(identity(3), local), 0).ok
+        np.testing.assert_allclose(right, kron(identity(3), local), rtol=0, atol=0)
 
     def test_distant_embeddings_commute(self):
         a = fixture_u2_ansatz(sites=4)
@@ -469,7 +468,7 @@ class TestWeightedHadamard:
 class TestGaugeTransform:
     def test_identity_gauge_is_identity(self):
         local = build_local_generator(fixture_u2_ansatz())
-        assert approx_eq(gauge_transform(local, identity(3)), local, 1e-12).ok
+        np.testing.assert_allclose(gauge_transform(local, identity(3)), local, rtol=0, atol=1e-12)
 
     def test_gauge_preserves_tl_residuals(self):
         rng = np.random.default_rng(13)
@@ -506,7 +505,7 @@ class TestGaugeTransform:
             )
             assert abs(reweighted.alpha - a.alpha) < 1e-12
             rebuilt = build_local_generator(reweighted)
-            assert approx_eq(moved, rebuilt, 1e-10).ok
+            np.testing.assert_allclose(moved, rebuilt, rtol=0, atol=1e-10)
 
     def test_singular_gauge_rejected(self):
         local = build_local_generator(fixture_u2_ansatz())
