@@ -45,8 +45,9 @@ def _load_json(path: str):
 
 def _emit(payload: dict, out: str | None) -> None:
     # Strict JSON: a NaN or infinite value raises ValueError, which main
-    # reports. Without indent, json serializes through its C encoder.
-    text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    # reports. Matrix payloads carry their entries as arrays, which the
+    # writer formats without building per-entry lists.
+    text = linalg.dumps(payload) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -82,16 +83,16 @@ def _finite(x: float) -> float | None:
 # ---------------------------------------------------------------- gen --
 
 def _gen_fourier(args) -> tuple[dict, bool]:
-    return linalg.matrix_to_dict(hadamard.fourier(args.n, args.ell)), True
+    return linalg.matrix_payload(hadamard.fourier(args.n, args.ell)), True
 
 
 def _gen_f4(args) -> tuple[dict, bool]:
-    return linalg.matrix_to_dict(hadamard.f4_family(_parse_complex(args.a))), True
+    return linalg.matrix_payload(hadamard.f4_family(_parse_complex(args.a))), True
 
 
 def _gen_f6(args) -> tuple[dict, bool]:
     return (
-        linalg.matrix_to_dict(
+        linalg.matrix_payload(
             hadamard.f6_family(_parse_complex(args.a), _parse_complex(args.b))
         ),
         True,
@@ -101,7 +102,7 @@ def _gen_f6(args) -> tuple[dict, bool]:
 def _gen_dita(args) -> tuple[dict, bool]:
     outer = read_matrix(args.a)
     blocks = [read_matrix(p) for p in args.block]
-    return linalg.matrix_to_dict(hadamard.dita(outer, blocks)), True
+    return linalg.matrix_payload(hadamard.dita(outer, blocks)), True
 
 
 def _gen_nest(args) -> tuple[dict, bool]:
@@ -110,19 +111,19 @@ def _gen_nest(args) -> tuple[dict, bool]:
 
 
 def _gen_h0(args) -> tuple[dict, bool]:
-    return linalg.matrix_to_dict(master.h0()), True
+    return linalg.matrix_payload(master.h0()), True
 
 
 def _gen_h1(args) -> tuple[dict, bool]:
-    return linalg.matrix_to_dict(master.h1(_parse_complex(args.a))), True
+    return linalg.matrix_payload(master.h1(_parse_complex(args.a))), True
 
 
 def _gen_fixture_u1(args) -> tuple[dict, bool]:
-    return linalg.matrix_to_dict(tlrep.fixture_u1()), True
+    return linalg.matrix_payload(tlrep.fixture_u1()), True
 
 
 def _gen_fixture_u2(args) -> tuple[dict, bool]:
-    return linalg.matrix_to_dict(tlrep.fixture_u2()), True
+    return linalg.matrix_payload(tlrep.fixture_u2()), True
 
 
 def _gen_master_fourier(args) -> tuple[dict, bool]:
@@ -314,32 +315,36 @@ def _build_ansatz(args) -> tlrep.TLAnsatz:
 
 def _build_tl_local(args) -> tuple[dict, bool]:
     a = _build_ansatz(args)
-    return linalg.matrix_to_dict(tlrep.build_local_generator(a, args.tol)), True
+    return linalg.matrix_payload(tlrep.build_local_generator(a, args.tol)), True
 
 
 def _build_tl_embedded(args) -> tuple[dict, bool]:
     a = _build_ansatz(args)
     local = tlrep.build_local_generator(a, args.tol)
-    return linalg.matrix_to_dict(tlrep.embed(local, args.site, a.sites, a.n)), True
+    return linalg.matrix_payload(tlrep.embed(local, args.site, a.sites, a.n)), True
 
 
 def _build_braid(args) -> tuple[dict, bool]:
     b = _braid_from_args(args)
-    payload = b.to_dict()
-    payload["hecke_residual"] = baxter.hecke_residual(b)
+    payload = {
+        "q": linalg.complex_to_json(b.q),
+        "nu": linalg.complex_to_json(b.nu),
+        "r_check": linalg.matrix_payload(b.r_check),
+        "hecke_residual": baxter.hecke_residual(b),
+    }
     return payload, True
 
 
 def _build_rmatrix(args) -> tuple[dict, bool]:
     b = _braid_from_args(args)
-    return linalg.matrix_to_dict(baxter.to_plain_r(b)), True
+    return linalg.matrix_payload(baxter.to_plain_r(b)), True
 
 
 def _build_reconstruct_m(args) -> tuple[dict, bool]:
     spec = master.MasterSpec.from_dict(_load_json(args.spec))
     h = read_matrix(args.h)
     omega = master.master_matrix(spec)
-    return linalg.matrix_to_dict(tlrep.reconstruct_m(omega, h, spec.lambdas)), True
+    return linalg.matrix_payload(tlrep.reconstruct_m(omega, h, spec.lambdas)), True
 
 
 # ------------------------------------------------------------- search --

@@ -214,8 +214,11 @@ def root_phases(
     Returns the rows of u as tuples of reduced phase pairs (t, r) with
     0 <= t < r, or None when some entry is farther than tol from every
     root of unity of order at most limit. An entry's fraction t/r is the
-    closest one to its phase with denominator at most limit, found by
-    continued fractions, so the cost does not grow with limit.
+    first continued-fraction convergent of its phase that lies within
+    float rounding of it, so rounding noise is never read as a root of
+    huge order; with no such convergent up to limit, it is the closest
+    fraction with denominator at most limit. The cost does not grow with
+    limit.
     """
     if limit < 1:
         raise ValueError("root order limit must be a positive integer")
@@ -223,13 +226,39 @@ def root_phases(
     for row in linalg.as_matrix(u).tolist():
         snapped = []
         for z in row:
-            turn = Fraction(cmath.phase(z) / (2 * math.pi) % 1.0).limit_denominator(limit)
-            t, r = turn.numerator % turn.denominator, turn.denominator
-            if abs(z - linalg.unit_root(t, r)) > tol:
+            phase = _root_phase(z, limit, tol)
+            if phase is None:
                 return None
-            snapped.append((t, r))
+            snapped.append(phase)
         phases.append(tuple(snapped))
     return tuple(phases)
+
+
+#: How far, in turns, a phase computed from a float entry may sit from the
+#: exact phase: a few units in the last place of 1.0. Two distinct
+#: fractions this close to one phase have a product of denominators of at
+#: least 2^47; below that, the first convergent this close is also the
+#: closest fraction.
+_PHASE_ROUNDING = 2.0**-48
+
+
+def _root_phase(z: complex, limit: int, tol: float) -> tuple[int, int] | None:
+    turn = cmath.phase(z) / (2 * math.pi) % 1.0
+    num, den = turn.as_integer_ratio()
+    # Convergents p/q of turn; the last one is turn itself, so the loop ends.
+    p0, q0, p, q = 0, 1, 1, 0
+    while True:
+        a, rest = divmod(num, den)
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        if q > limit:
+            closest = Fraction(turn).limit_denominator(limit)
+            p, q = closest.numerator, closest.denominator
+            break
+        if abs(turn - p / q) <= _PHASE_ROUNDING:
+            break
+        num, den = den, rest
+    t = p % q
+    return (t, q) if abs(z - linalg.unit_root(t, q)) <= tol else None
 
 
 def butson_order(u: Matrix, tol: float, limit: int) -> int | None:

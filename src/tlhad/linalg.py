@@ -10,10 +10,16 @@ The JSON codec of every wire format lives here too. A complex number
 travels as an [re, im] pair of finite JSON numbers, so files round-trip
 bit-exactly through the standard json module; integer fields must be
 JSON integers. The readers raise ValueError naming the offending field.
+complex_to_json and matrix_to_dict give plain JSON values (lists of
+pairs). The one writer, dumps, renders a document that may also hold
+complex numpy arrays (matrix_payload gives a matrix document of that
+kind) to the same bytes as json.dumps of its list form, formatting each
+distinct entry of an array once.
 """
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,8 +47,10 @@ __all__ = [
     "json_complex",
     "json_list",
     "complex_to_json",
+    "matrix_payload",
     "matrix_to_dict",
     "matrix_from_dict",
+    "dumps",
 ]
 
 #: Default absolute tolerance for residual checks.
@@ -260,11 +268,21 @@ def complex_to_json(z) -> list:
     return np.stack((z.real, z.imag), -1).tolist()
 
 
-def matrix_to_dict(m: Matrix) -> dict:
-    """Serialize to {"rows", "cols", "entries"} with row-major [re, im] pairs."""
+def matrix_payload(m: Matrix) -> dict:
+    """{"rows", "cols", "entries"} of a finite matrix, entries a flat row-major array.
+
+    The document for dumps: it writes the array as matrix_to_dict's pairs.
+    """
     m = as_matrix(m)
     rows, cols = m.shape
-    return {"rows": rows, "cols": cols, "entries": complex_to_json(m.reshape(-1))}
+    return {"rows": rows, "cols": cols, "entries": m.reshape(-1)}
+
+
+def matrix_to_dict(m: Matrix) -> dict:
+    """Serialize to {"rows", "cols", "entries"} with row-major [re, im] pairs."""
+    doc = matrix_payload(m)
+    doc["entries"] = complex_to_json(doc["entries"])
+    return doc
 
 
 def matrix_from_dict(data: dict) -> Matrix:
@@ -280,3 +298,68 @@ def matrix_from_dict(data: dict) -> Matrix:
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
         )
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+
+
+#: The string dumps writes in place of an array before splicing its text in.
+_ARRAY_MARK = "\x00array\x00"
+_ARRAY_MARK_JSON = json.dumps(_ARRAY_MARK)
+
+
+def dumps(doc) -> str:
+    """One line of strict JSON: json.dumps(doc, sort_keys=True, allow_nan=False).
+
+    A numpy array in doc is written as complex_to_json(array) would be,
+    byte for byte, without building its lists: the distinct entries, told
+    apart by bit pattern (so -0.0 is not 0.0), are formatted once each
+    and their texts joined. A non-finite value raises ValueError.
+    """
+    arrays = []
+
+    def mark(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _ARRAY_MARK
+
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, default=mark)
+    pieces = text.split(_ARRAY_MARK_JSON)
+    if len(pieces) != len(arrays) + 1:
+        # A string of doc spells the mark; write the arrays as lists instead.
+        return json.dumps(doc, sort_keys=True, allow_nan=False, default=complex_to_json)
+    out = [pieces[0]]
+    for array, piece in zip(arrays, pieces[1:]):
+        out += (_array_text(array), piece)
+    return "".join(out)
+
+
+def _array_text(z) -> str:
+    """json.dumps(complex_to_json(z)), each distinct entry formatted once."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.size == 0:
+        return json.dumps(complex_to_json(z))
+    distinct, inverse = _distinct(z.reshape(-1))
+    if not np.isfinite(distinct).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    table = np.array(
+        [f"[{re!r}, {im!r}]" for re, im in zip(distinct.real.tolist(), distinct.imag.tolist())],
+        dtype=object,
+    )
+    items = table[inverse].tolist()
+    for size in z.shape[:0:-1]:
+        items = ["[" + ", ".join(items[i : i + size]) + "]" for i in range(0, len(items), size)]
+    return "[" + ", ".join(items) + "]" if z.ndim else items[0]
+
+
+def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) with flat == distinct[inverse] bit for bit."""
+    # Sort the entries by their bits; a run of equal bits is one distinct entry.
+    bits = np.stack((flat.real, flat.imag)).view(np.uint64)
+    order = np.lexsort(bits)
+    bits = bits[:, order]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    del bits  # before the index arrays: it sets the render's peak memory
+    inverse = np.empty(flat.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first)
+    inverse -= 1
+    return flat[order[first]], inverse

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import cmath
 import copy
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,11 +20,11 @@ from hypothesis import strategies as st
 
 from tlhad.baxter import BraidData, braid_from_tl, q_from_nu
 import tlhad
-from tlhad import cli
+from tlhad import cli, linalg
 from tlhad.cli import main, read_matrix
-from tlhad.hadamard import fourier
+from tlhad.hadamard import f6_family, fourier
 from tlhad.linalg import as_matrix, matrix_to_dict
-from tlhad.master import fourier_master, h0, h1, master_matrix
+from tlhad.master import f6_master, fourier_master, h0, h1, master_matrix
 from tlhad.tlrep import (
     TLAnsatz,
     build_local_generator,
@@ -683,7 +685,16 @@ def test_one_mutated_leaf_keeps_the_wire_contract(data):
 
 def _indented_render(payload):
     """The former stdout and --out render, kept as the oracle."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return (
+        json.dumps(
+            payload,
+            indent=2,
+            sort_keys=True,
+            allow_nan=False,
+            default=lambda a: linalg.complex_to_json(a),
+        )
+        + "\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -709,6 +720,15 @@ def inputs(tmp_path_factory):
     dump("p.json", matrix_to_dict(master_matrix(spec).T @ fourier(3) / 3))
     dump("om.json", matrix_to_dict(master_matrix(spec)))
     dump("stages.json", {"stages": [{"p": 2, "g": [0, 1]}, {"p": 2, "f": [1, 0]}]})
+    spec4 = fourier_master(4)
+    m4 = reconstruct_m(master_matrix(spec4), fourier(4), spec4.lambdas)
+    dump("f4s4.json", TLAnsatz(m4, spec4.exponents, sites=4).to_dict())
+    spec6 = f6_master(2, 1, 1)
+    h6 = f6_family(cmath.exp(0.3j), cmath.exp(1.1j))
+    m6 = reconstruct_m(master_matrix(spec6), h6, spec6.lambdas)
+    dump("f6a.json", TLAnsatz(m6, spec6.exponents).to_dict())
+    signed = np.array([[complex(1, -0.0), complex(-0.0, 0.0)], [complex(0.0, -0.0), -1]])
+    dump("zeros.json", matrix_to_dict(signed))
     return d
 
 
@@ -731,6 +751,11 @@ PARITY_CASES = {
     "readme_check_master": "check master --spec {d}/spec.json",
     "build_tl_local": "build tl-local --ansatz {d}/u2a.json",
     "build_tl_embedded": "build tl-embedded --ansatz {d}/u2a.json --site 2",
+    "build_tl_embedded_f4s4_site2": "build tl-embedded --ansatz {d}/f4s4.json --site 2",
+    "build_tl_embedded_f4s4_site3": "build tl-embedded --ansatz {d}/f4s4.json --site 3",
+    "build_tl_embedded_f6": "build tl-embedded --ansatz {d}/f6a.json --site 2",
+    "build_braid_f6": "build braid --ansatz {d}/f6a.json",
+    "build_tl_local_signed_zeros": "build tl-local --m {d}/zeros.json --exponents 0,1",
     "build_braid": "build braid --ansatz {d}/ansatz.json",
     "build_rmatrix": "build rmatrix --braid {d}/braid.json",
     "check_chm": "check chm --matrix {d}/h.json",
@@ -769,6 +794,31 @@ def test_output_is_the_indented_render_compacted(case, inputs, tmp_path):
     assert (tmp_path / "out.json").read_text() == expected
     if case == "check_ghm_null":
         assert '"max_residual": null' in expected
+
+
+def test_embedded_render_peaks_at_half_the_list_render(inputs, tmp_path):
+    argv = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
+    assert main(argv + ["--out", str(tmp_path / "t.json")]) == 0
+    m = read_matrix(str(tmp_path / "t.json"))
+    assert m.shape == (256, 256)
+    tracemalloc.start()
+    try:
+        json.dumps(matrix_to_dict(m), sort_keys=True, allow_nan=False)
+        list_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.clear_traces()
+        tracemalloc.reset_peak()
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        cli_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli_peak <= list_peak / 2
+
+
+def test_cli_writes_matrices_through_the_array_payload_only():
+    # complex_to_json stays for scalars and sample lists; a matrix_to_dict
+    # call in the CLI would build per-entry lists again.
+    assert "matrix_to_dict(" not in Path(cli.__file__).read_text()
 
 
 def test_non_finite_result_exits_2_with_nothing_written(inputs, tmp_path, capsys):

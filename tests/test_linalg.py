@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tlhad import linalg
 from tlhad.linalg import (
@@ -314,6 +315,80 @@ def test_writer_matches_per_entry_pairs(rows, cols, seed):
     reference = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     # json.dumps tells -0.0 from 0.0, which == does not.
     assert json.dumps(matrix_to_dict(m)["entries"]) == json.dumps(reference)
+
+
+#: Parts that exercise float formatting: signed zeros, subnormals, the
+#: extremes of the exponent range and integral values.
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
+                 5e300, 1.0, -2.0, 3.0, 1e16, 0.1]
+PARTS = st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def complex_arrays(draw, min_side=0):
+    # Entries come from a pool of at most four, so most arrays repeat entries.
+    pool = draw(st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=4))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=min_side, max_side=6))
+    size = math.prod(shape)
+    entries = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return np.array(entries, dtype=np.complex128).reshape(shape)
+
+
+def _strict(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestDumps:
+    @settings(max_examples=150)
+    @given(complex_arrays())
+    def test_array_text_is_the_pairs_text(self, z):
+        text = linalg.dumps(z)
+        assert text == json.dumps(complex_to_json(z))
+        assert _strict(text) == complex_to_json(z)
+
+    @settings(max_examples=50)
+    @given(complex_arrays(min_side=1), st.data())
+    def test_non_finite_part_raises(self, z, data):
+        flat = z.reshape(-1)
+        part = data.draw(st.sampled_from([flat.real, flat.imag]))
+        part[data.draw(st.integers(0, flat.size - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+        with pytest.raises(ValueError):
+            linalg.dumps(z)
+        with pytest.raises(ValueError):
+            linalg.dumps({"m": z, "x": 1.0})
+
+    def test_document_is_json_dumps_of_its_list_form(self):
+        m = as_matrix([[1, -0.0], [2.5j, 1]])
+        doc = {"z": linalg.matrix_payload(m), "a": [m[0], 0.5, None, "s"], "q": [1.0, -0.0]}
+        expected = json.dumps(
+            doc, sort_keys=True, allow_nan=False, default=lambda a: complex_to_json(a)
+        )
+        assert linalg.dumps(doc) == expected
+        assert _strict(expected)["z"] == matrix_to_dict(m)
+
+    def test_string_spelling_the_mark_is_written_as_itself(self):
+        doc = {"s": linalg._ARRAY_MARK, "z": np.array([1j])}
+        assert linalg.dumps(doc) == json.dumps(
+            doc, sort_keys=True, default=lambda a: complex_to_json(a)
+        )
+
+    def test_other_objects_are_not_serializable(self):
+        with pytest.raises(TypeError):
+            linalg.dumps({"s": {1, 2}})
+
+    def test_payload_is_the_dict_with_array_entries(self):
+        m = as_matrix([[1, 2j, 3]])
+        payload = linalg.matrix_payload(m)
+        assert (payload["rows"], payload["cols"]) == (1, 3)
+        assert np.array_equal(payload["entries"], m.reshape(-1))
+        assert json.loads(linalg.dumps(payload)) == matrix_to_dict(m)
+        with pytest.raises(ValueError):
+            linalg.matrix_payload(np.array([[np.inf]]))
 
 
 def test_every_export_is_used_by_another_module():

@@ -415,6 +415,16 @@ class TestSearch:
         spec = search_master_representation(as_matrix([[1]]), 1, 1)
         assert spec is not None and spec.exponents == (0,)
 
+    @pytest.mark.parametrize("bound", [10**15, 10**17])
+    def test_root_order_bound_past_float_resolution(self, bound):
+        # The float phase of w = exp(2 pi i / 3) is the fraction
+        # 6004799503160661/18014398509481984, which these bounds admit;
+        # it must still read as 1/3.
+        assert root_phases(fourier(3), bound) == root_phases(fourier(3), 3)
+        spec = search_master_representation(fourier(3), 4, bound)
+        assert spec is not None and spec.exponents == (0, 1, 2)
+        np.testing.assert_allclose(master_matrix(spec), fourier(3), rtol=0, atol=1e-9)
+
 
 def snap_oracle(z, root_order_bound, tol):
     """The former per-entry snap: z = exp(2*pi*i*t/r) with r <= root_order_bound, or None."""
