@@ -588,6 +588,15 @@ class TestErrors:
             (["check", "ybe", *HUGE_SAMPLES, "--ansatz"], ANSATZ, "out of memory"),
             # gen reads no file; in.json is the --out path, left as written.
             ([*HUGE_FOURIER, "--out"], {}, "out of memory"),
+            # Powers of order 10^200 overflow the braid products: a NaN residual.
+            *(
+                (["check", "tl", "--ansatz"], ANSATZ | {"m": c, "exponents": e}, "JSON")
+                for c, e in (
+                    (matrix_to_dict(10 * np.eye(2)), [0, 200]),
+                    (matrix_to_dict(10 * np.eye(2)), [0, 160]),
+                    (matrix_to_dict(2 * np.eye(2)), [0, 600]),
+                )
+            ),
         ],
         ids=[
             "ansatz_null_weight", "ansatz_string_weight", "braid_null_q", "braid_string_nu",
@@ -596,7 +605,8 @@ class TestErrors:
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
             "bool_entry", "master_power_overflow", "master4_power_overflow",
             "master4_power_underflow", "generator_power_overflow", "weight_length_mismatch",
-            "spectral_samples_memory", "fourier_size_memory",
+            "spectral_samples_memory", "fourier_size_memory", "tl_nan_braid_10_200",
+            "tl_nan_braid_10_160", "tl_nan_braid_2_600",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tlhad import linalg
 from tlhad.hadamard import dephase, f4_family, fourier, is_ghm
 from tlhad.linalg import (
     as_matrix,
@@ -29,6 +31,7 @@ from tlhad.master import (
 )
 from tlhad.tlrep import (
     TLAnsatz,
+    TLReport,
     build_local_generator,
     check_master4,
     eigenvector_condition,
@@ -241,8 +244,8 @@ def dense_tl_residuals(t_local, nu, sites):
 
 def off_grid_spec(n):
     """Unimodular eigenvalues with unequal offsets from the Fourier grid: no master spec."""
-    offsets = (0.2, 0.35, 0.25, 0.3)[:n]
-    lambdas = tuple(cmath.exp(2j * math.pi * (a + d) / n) for a, d in enumerate(offsets))
+    offsets = (0.2, 0.35, 0.25, 0.3)
+    lambdas = tuple(cmath.exp(2j * math.pi * (a + offsets[a % 4]) / n) for a in range(n))
     return MasterSpec(lambdas, tuple(range(n)))
 
 
@@ -291,6 +294,127 @@ class TestVerifyTLAgainstDenseChain:
     def test_site_count_does_not_change_the_report(self):
         # Dense, six sites of n = 8 would be 262144 x 262144 matrices.
         assert verify_tl(reconstructed_ansatz(8, sites=6)) == verify_tl(reconstructed_ansatz(8, sites=3))
+
+
+def spec_ansatz(spec, h, **kwargs):
+    return TLAnsatz(reconstruct_m(master_matrix(spec), h, spec.lambdas), spec.exponents, **kwargs)
+
+
+def random_ansatz(n, seed, m=None):
+    """Random weights and shuffled exponents of both signs, on a random M unless one is given."""
+    rng = np.random.default_rng(seed)
+    if m is None:
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    exponents = tuple(int(e) for e in rng.permutation(n) - n // 2)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return TLAnsatz(m, exponents, v=v, w=w)
+
+
+#: Inputs of the block-form braid check, each built on demand: the dense
+#: oracle cases, larger Fourier data, F6 and nested families, the weighted
+#: fixtures, random and shuffled data, and ill-conditioned F4 data.
+BLOCK_CASES = {
+    **{case: (lambda s=spec, h=h: spec_ansatz(s, h)) for case, (spec, h) in ORACLE_CASES.items()},
+    **{f"fourier{n}": (lambda n=n: spec_ansatz(fourier_master(n), fourier(n))) for n in (5, 6, 7, 8)},
+    "f6_2_1_1": lambda: spec_ansatz(f6_master(2, 1, 1), fourier(6)),
+    "f6_200_7_11": lambda: spec_ansatz(f6_master(200, 7, 11), fourier(6)),
+    "nested23": lambda: spec_ansatz(nest(NestingSpec((NestingStage(2), NestingStage(3)))), fourier(6)),
+    "u1": fixture_u1_ansatz,
+    "u2": fixture_u2_ansatz,
+    "random3": lambda: random_ansatz(3, 21),
+    "random5": lambda: random_ansatz(5, 22),
+    # A master M with shuffled, negative exponents and random weights.
+    "fourier4_shuffled": lambda: random_ansatz(4, 23, spec_ansatz(fourier_master(4), fourier(4)).m),
+    # Exponents negated: still a master spec.
+    "fourier5_negated": lambda: TLAnsatz(
+        spec_ansatz(fourier_master(5), fourier(5)).m, tuple(-e for e in fourier_master(5).exponents)
+    ),
+    "f4_10": lambda: spec_ansatz(f4_master(1, 1), f4_family(10 * cmath.exp(0.7j))),
+    "f4_30": lambda: spec_ansatz(f4_master(1, 1), f4_family(30 * cmath.exp(0.7j))),
+}
+
+
+class TestBlockBraidAgainstDense:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_matches_dense_three_strand_products(self, case):
+        a = BLOCK_CASES[case]()
+        t = build_local_generator(a)
+        n = a.n
+        # The bound of TestVerifyTLAgainstDenseChain: the block form sums in
+        # another order, so the residuals agree to rounding.
+        floor = 1e-14 * n**2 * max_abs(t) ** 3
+        for sites in (2, 3, 4, 6):
+            block = verify_tl(TLAnsatz(a.m, a.exponents, a.v, a.w, sites))
+            dense = verify_tl_local(t, a.alpha, sites)
+            assert block.loop_residual == dense.loop_residual
+            assert abs(block.braid_residual - dense.braid_residual) <= 1e-9 * dense.braid_residual + floor
+            assert block.commute_residual == 0.0
+            assert block.ok() == dense.ok()
+            assert block.nu == dense.nu
+            if sites == 2:
+                assert block.braid_residual == 0.0
+
+    @pytest.mark.parametrize("case, passes", [
+        ("fourier8", True), ("f6_200_7_11", True), ("nested23", True), ("u1", True),
+        ("fourier5_negated", True), ("f4_30", True), ("control4", False), ("random5", False),
+        ("fourier4_shuffled", False),
+    ])
+    def test_expected_verdict(self, case, passes):
+        assert verify_tl(BLOCK_CASES[case]()).ok() == passes
+
+
+class TestBlockBraidScale:
+    def refuse_dense_kernels(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the block form must not form three-strand products")
+
+        monkeypatch.setattr(linalg, "on_strands", refuse)
+        monkeypatch.setattr(linalg, "kron", refuse)
+
+    def test_fourier_16_passes_in_bounded_memory(self, monkeypatch):
+        # The dense check takes 1.57 GB peak at n = 16.
+        a = spec_ansatz(fourier_master(16), fourier(16))
+        self.refuse_dense_kernels(monkeypatch)
+        tracemalloc.start()
+        try:
+            report = verify_tl(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.braid_residual <= 1e-9
+        assert report.ok()
+        assert peak <= 128 * 2**20
+
+    def test_off_grid_16_fails(self, monkeypatch):
+        a = spec_ansatz(off_grid_spec(16), fourier(16))
+        self.refuse_dense_kernels(monkeypatch)
+        report = verify_tl(a)
+        assert report.braid_residual > 0.1
+        assert not report.ok()
+
+
+class TestNonFiniteResidual:
+    # M = c I with a large exponent gap: powers of order c^gap overflow in the
+    # braid products, whose residual is NaN. Python's max would drop it.
+    CASES = [(10.0, (0, 200)), (10.0, (0, 160)), (2.0, (0, 600))]
+
+    def test_nan_in_any_field_makes_the_report_fail(self):
+        for fields in ((math.nan, 0.0, 0.0), (2e-14, math.nan, 0.0), (2e-14, math.inf, 0.0)):
+            report = TLReport(*fields, 2.0)
+            assert not math.isfinite(report.max_residual)
+            assert not report.ok()
+
+    @pytest.mark.parametrize("scale, exponents", CASES)
+    def test_overflowing_powers_fail(self, scale, exponents):
+        a = TLAnsatz(scale * np.eye(2), exponents, sites=3)
+        with np.errstate(all="ignore"):
+            block = verify_tl(a)
+            dense = verify_tl_local(build_local_generator(a), a.alpha, 3)
+        for report in (block, dense):
+            assert not math.isfinite(report.braid_residual)
+            assert not math.isfinite(report.max_residual)
+            assert not report.ok()
 
 
 class TestMaster4:
