@@ -17,20 +17,27 @@ which satisfies the multiplicative-parameter Yang-Baxter equation. The
 plain R-matrix is R = Pi @ R_check with Pi the site-swap operator; its
 constant equation is the braid equation of Pi @ R.
 
-The spectral check does not rebuild R_check(u) per sample. Expanded in
-the two fixed operators R = R_check and S = R_check^-1, each side of the
-spectral equation is a sum of eight three-strand words A B C with A, B,
-C in {R, S}, and each word's coefficient is a monomial +-u^i w^j with
-i, j in {-2, 0, 2}. The defect is sum u^i w^j C_ij over seven
-coefficient operators C_ij (only (0, 0) collects two words per side),
-and C_22 = R1 R2 R1 - R2 R1 R2 is the constant braid defect. This holds
-for any invertible R_check, Hecke or not. The coefficients are built
-once per check, the words other than C_22's one column block at a time,
-and every sample is a linear combination of them.
+Both Yang-Baxter checks run on one three-strand kernel. Write
+R_check(x) = sum_a x^a O_a over a = +-1 with O = (R, -R^-1), R = R_check.
+The spectral defect R12(u) R23(uw) R12(w) - R23(w) R12(uw) R23(u) is then
+
+    sum over a, b, c = +-1 of  u^(a+b) w^(b+c) D_abc,
+    D_abc = A12 B23 C12 - C23 B12 A23,   A, B, C = O_a, O_b, O_c:
+
+the right-hand word that shares a monomial with a left-hand word is its
+mirror image. This is exact for any invertible R_check, Hecke or not, and
+D_+++ is the constant braid defect, so check_braid needs the stack (R,)
+alone and no inverse. The kernel builds the D_abc of a stack of m
+operators one strand-0 column block at a time, from seeds that are
+Kronecker products with the identity: four batched matrix products per
+block, and no array beyond O(m^3 n^5) entries. The spectral check takes
+the eight differences once per block, and every sample is a linear
+combination of them.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,27 +139,72 @@ def hecke_residual(b: BraidData) -> float:
     return linalg.max_abs((b.r_check - b.q * eye) @ (b.r_check + (1 / b.q) * eye))
 
 
-def _braid_defect(r: Matrix, n: int) -> Matrix:
-    """R12 R23 R12 - R23 R12 R23 on three strands, R12 = r (x) I and R23 = I (x) r.
+def _workspace(m: int, n: int) -> np.ndarray:
+    """Buffer for _mirror_words on a stack of m operators: (2 m^3 + m^2) n^5 entries."""
+    return np.empty((2 * m**3 + m**2) * n**5, dtype=np.complex128)
 
-    The outer two factors of each side are applied by linalg.on_strands,
-    and each side's seed and inner product are dropped once used.
+
+def _mirror_words(ops: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
+    """The m^3 mirror differences D_abc = A12 B23 C12 - C23 B12 A23 on columns (k, ., .).
+
+    ops is a stack of m two-strand operators, shape (m, n^2, n^2), and
+    A, B, C = ops[a], ops[b], ops[c]. The result has shape
+    (m, m, m, n^3, n^2): rows (i, j, l) of the three strands, columns
+    (j', l') of strand-0 column index k. The seeds are the column blocks
+    C12 = C[:, k n:(k+1) n] (x) I and A23 = e_k (x) A, so each middle
+    product has inner dimension n; then one outer product per side. Each
+    product is one batched matmul whose slice for (a, b, c) has the same
+    shape whatever m is, so D_abc does not depend on the rest of the
+    stack. The result is a view of work (default: a new _workspace),
+    whose later entries are scratch, free once this returns.
     """
-    eye = linalg.identity(n)
-    defect = linalg.on_strands(r, linalg.on_strands(r, linalg.kron(r, eye), (1, 2), n), (0, 1), n)
-    defect -= linalg.on_strands(r, linalg.on_strands(r, linalg.kron(eye, r), (0, 1), n), (1, 2), n)
-    return defect
+    m, dim = ops.shape[:2]
+    n = math.isqrt(dim)
+    if work is None:
+        work = _workspace(m, n)
+    size, mid_size = m**3 * n**5, m**2 * n**5
+    lhs, rhs, mid = work[:size], work[size : 2 * size], work[2 * size : 2 * size + mid_size]
+    # A middle product lands at the front of lhs, then is copied into mid
+    # with the outer factor's two strands as its rows.
+    prod, mid7, mid4 = lhs[:mid_size], mid.reshape((m, m) + (n,) * 5), mid.reshape(1, m, m, n * n, n**3)
+    cols = ops[:, :, k * n : (k + 1) * n]
+    # Right side: B12 A23 at [b, a, i, j, l, j', l'], then C23.
+    np.matmul(cols[:, None], ops.reshape(1, m, n, n**3), out=prod.reshape(m, m, n * n, n**3))
+    np.copyto(mid7, prod.reshape(mid7.shape).transpose(0, 1, 3, 4, 2, 5, 6))
+    np.matmul(ops[:, None, None], mid4, out=rhs.reshape(m, m, m, n * n, n**3))
+    # Left side: B23 C12 at [b, c, j, l, l', i, j'], then A12.
+    b_t = ops.reshape(m, n, n, n, n).transpose(0, 1, 2, 4, 3).reshape(m, 1, n**3, n)
+    c_t = cols.reshape(m, n, n, n).transpose(0, 2, 1, 3).reshape(1, m, n, n * n)
+    np.matmul(b_t, c_t, out=prod.reshape(m, m, n**3, n * n))
+    np.copyto(mid7, prod.reshape(mid7.shape).transpose(0, 1, 5, 2, 3, 6, 4))
+    np.matmul(ops[:, None, None], mid4, out=lhs.reshape(m, m, m, n * n, n**3))
+    # lhs is [a, b, c, i, j, l, j', l'] and rhs is [c, b, a, j, l, i, j', l'].
+    shape = (m,) * 3 + (n,) * 5
+    diff = lhs.reshape(shape)
+    diff -= rhs.reshape(shape).transpose(2, 1, 0, 5, 3, 4, 6, 7)
+    return lhs.reshape(m, m, m, n**3, n * n)
+
+
+def _braid_block(words: np.ndarray, work: np.ndarray) -> float:
+    """max |D_+++| of one block of _mirror_words, the magnitudes written to work's scratch."""
+    d = words[0, 0, 0]
+    mag = work[words.size :].view(np.float64)[: d.size].reshape(d.shape)
+    return np.abs(d, out=mag).max()
 
 
 def check_braid(r_check: Matrix, n: int | None = None) -> float:
     """Constant braided Yang-Baxter residual on three strands.
 
     Returns max |R12 R23 R12 - R23 R12 R23| with R12 = R_check (x) I and
-    R23 = I (x) R_check.
+    R23 = I (x) R_check, taken one strand-0 column block at a time as the
+    word D_+++ of _mirror_words. R_check need not be invertible.
     """
     r_check = linalg.as_matrix(r_check)
     n = linalg.local_dim(r_check, "braid generator", n)
-    return linalg.max_abs(_braid_defect(r_check, n))
+    # A fresh C-ordered stack, as in ybe_residuals, so the products match.
+    ops = np.stack((r_check,))
+    work = _workspace(1, n)
+    return float(np.max([_braid_block(_mirror_words(ops, k, work), work) for k in range(n)]))
 
 
 def baxterize(b: BraidData, u: complex, tol: float = DEFAULT_TOL) -> Matrix:
@@ -176,42 +228,11 @@ def spectral_samples(count: int = 20, seed: int = 42) -> list[tuple[complex, com
     ]
 
 
-#: Exponents (i, j) of the monomials u^i w^j, in the order the coefficient
-#: operators C_ij are stored.
-_MONOMIALS = ((2, 2), (2, 0), (0, 2), (0, 0), (0, -2), (-2, 0), (-2, -2))
-_SLOT = {ij: k for k, ij in enumerate(_MONOMIALS)}
-
-
 class YbeResiduals(NamedTuple):
     """Constant braid residual (as check_braid) and worst spectral residual."""
 
     braid: float
     spectral: float
-
-
-def _add_words(coef, seeds, ops, inner, outer, n, lhs):
-    """Add one side's words A B C, C a seed, into the column blocks of C_ij.
-
-    The left side R12(u) R23(uw) R12(w) has A, B, C on strands (0, 1),
-    (1, 2), (0, 1); A = R carries u, A = S carries -1/u, and so on, so the
-    word's monomial is u^(a+b) w^(b+c) with a, b, c = +-1 for R or S and
-    its sign is a*b*c. The right side R23(w) R12(uw) R23(u) swaps the
-    strands and the roles of u and w, and is subtracted. The word R R R
-    is left out: it makes up C_22, which the caller fills.
-    """
-    signs = (1, -1)
-    for c, seed in zip(signs, seeds):
-        for b, b_op in zip(signs, ops):
-            middle = linalg.on_strands(b_op, seed, inner, n)
-            for a, a_op in zip(signs, ops):
-                if a == b == c == 1:
-                    continue
-                word = linalg.on_strands(a_op, middle, outer, n)
-                ij = (a + b, b + c) if lhs else (b + c, a + b)
-                if (a * b * c > 0) == lhs:
-                    coef[_SLOT[ij]] += word
-                else:
-                    coef[_SLOT[ij]] -= word
 
 
 def ybe_residuals(
@@ -223,18 +244,16 @@ def ybe_residuals(
 ) -> YbeResiduals:
     """Constant braid residual and worst spectral Yang-Baxter residual.
 
-    The spectral defect R12(u) R23(uw) R12(w) - R23(w) R12(uw) R23(u) is
-    sum u^i w^j C_ij over the seven coefficient operators of the module
-    docstring, built from R_check and its one inverse whatever the number
-    of samples (default: spectral_samples(count, seed)). C_22 is the braid
-    defect, computed by check_braid's four products, so the braid
-    residual is check_braid's to the bit. The other 14 words are built one
-    column block at a time: the block of first-strand column index k
-    starts from the seeds kron(R[:, k n:(k+1) n], I) and kron(I[:, k], R)
-    (and the same with R^-1), 22 on_strands products per block. Every
-    word is linear in its seed's columns, so the blockwise maxima are
-    exact, and no operator beyond check_braid's is formed at full size.
-    A non-finite residual at any sample makes the spectral result
+    The spectral defect is sum u^(a+b) w^(b+c) D_abc over the eight
+    mirror differences of the module docstring, built from R_check and
+    its one inverse whatever the number of samples (default:
+    spectral_samples(count, seed)), one strand-0 column block at a time.
+    Each block's D_abc are one _mirror_words call, and the samples are a
+    (samples x 8) @ (8 x n^5) product on them. Every word is linear in
+    its seed's columns, so the blockwise maxima are exact. D_+++ is the
+    braid defect, and its slices are the same products as in
+    check_braid, so the braid residual is check_braid's to the bit. A
+    non-finite residual at any sample makes the spectral result
     non-finite.
     """
     if samples is None:
@@ -244,32 +263,33 @@ def ybe_residuals(
     if np.any((u == 0) | (w == 0) | (u * w == 0)):
         raise ValueError("spectral parameters must be nonzero")
     n = b.local_dim
-    ops = (b.r_check, linalg.inverse(b.r_check, tol))
-    eye = linalg.identity(n)
-    braid_defect = _braid_defect(b.r_check, n)
-    coef = np.empty((len(_MONOMIALS), n**3, n * n), dtype=np.complex128)
-    flat = coef.reshape(len(_MONOMIALS), -1)
+    ops = np.stack((b.r_check, -linalg.inverse(b.r_check, tol)))
+    work = _workspace(2, n)
+    # After each kernel call its scratch holds the products of eight
+    # samples and their magnitudes.
+    size = 8 * n**5
+    prod = work[size : 2 * size].reshape(8, -1)
+    mag = work[2 * size :].view(np.float64).reshape(8, -1)
+    signs = (1, -1)
     with np.errstate(all="ignore"):
-        u2, w2 = u * u, w * w
-        pu = {2: u2, 0: np.ones_like(u), -2: 1 / u2}
-        pw = {2: w2, 0: np.ones_like(w), -2: 1 / w2}
-        monomials = np.stack([pu[i] * pw[j] for i, j in _MONOMIALS], axis=1)
+        pu = {2: u * u, 0: np.ones_like(u), -2: 1 / (u * u)}
+        pw = {2: w * w, 0: np.ones_like(w), -2: 1 / (w * w)}
+        # Column (a, b, c) in the order of _mirror_words' leading axes.
+        monomials = np.stack(
+            [pu[a + bb] * pw[bb + c] for a in signs for bb in signs for c in signs], axis=1
+        )
         worst = np.zeros(len(u))
+        braid = np.empty(n)
         for k in range(n):
-            cols = slice(k * n * n, (k + 1) * n * n)
-            coef.fill(0)
-            coef[_SLOT[2, 2]] = braid_defect[:, cols]
-            lhs_seeds = [linalg.kron(op[:, k * n : (k + 1) * n], eye) for op in ops]
-            rhs_seeds = [linalg.kron(eye[:, k : k + 1], op) for op in ops]
-            _add_words(coef, lhs_seeds, ops, (1, 2), (0, 1), n, lhs=True)
-            _add_words(coef, rhs_seeds, ops, (0, 1), (1, 2), n, lhs=False)
-            # Seven samples at a time, so no product outgrows the coefficients.
-            for lo in range(0, len(u), len(_MONOMIALS)):
-                hi = lo + len(_MONOMIALS)
-                block = np.abs(monomials[lo:hi] @ flat).max(axis=1)
-                worst[lo:hi] = np.maximum(worst[lo:hi], block)
+            words = _mirror_words(ops, k, work)
+            braid[k] = _braid_block(words, work)
+            for lo in range(0, len(u), 8):
+                hi = min(lo + 8, len(u))
+                np.matmul(monomials[lo:hi], words.reshape(8, -1), out=prod[: hi - lo])
+                block = np.abs(prod[: hi - lo], out=mag[: hi - lo]).max(axis=1)
+                np.maximum(worst[lo:hi], block, out=worst[lo:hi])
         spectral = float(worst.max()) if len(worst) else 0.0
-    return YbeResiduals(linalg.max_abs(braid_defect), spectral)
+    return YbeResiduals(float(braid.max()), spectral)
 
 
 def check_spectral_ybe(
@@ -284,8 +304,9 @@ def check_spectral_ybe(
         R12(u) R23(u*w) R12(w) = R23(w) R12(u*w) R23(u)
 
     over the given samples (default: spectral_samples(count, seed)),
-    evaluated as sum u^i w^j C_ij from the seven coefficient operators
-    that ybe_residuals builds, in column blocks, from one inverse.
+    evaluated as sum u^(a+b) w^(b+c) D_abc from the eight mirror
+    differences that ybe_residuals builds, in column blocks, from one
+    inverse.
     """
     return ybe_residuals(b, samples, count, seed, tol).spectral
 

@@ -263,7 +263,7 @@ def _check_braid(args) -> tuple[dict, bool]:
 def _check_ybe(args) -> tuple[dict, bool]:
     b = _braid_from_args(args)
     samples = baxter.spectral_samples(args.samples, args.seed)
-    # One pass gives both: the braid residual is the spectral check's C_22.
+    # One pass gives both: the braid residual is the spectral check's D_+++.
     braid_residual, spectral_worst = baxter.ybe_residuals(b, samples, tol=args.tol)
     # Baxterized products amplify rounding; the spectral bound gets the
     # documented 10x allowance over the constant-braid tolerance.

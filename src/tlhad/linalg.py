@@ -19,6 +19,7 @@ distinct entry of an array once.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from typing import Callable, NamedTuple, Sequence
@@ -292,12 +293,37 @@ def matrix_from_dict(data: dict) -> Matrix:
     cols = json_int(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    flat = json_list(entries, "entry", json_complex)
+    flat = _bulk_entries(entries)
+    if flat is None:
+        # Walk the entries one by one so that the error names the first bad one.
+        flat = np.array(json_list(entries, "entry", json_complex), dtype=np.complex128)
     if len(flat) != rows * cols:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(flat)}"
         )
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    return flat.reshape(rows, cols)
+
+
+def _bulk_entries(entries) -> np.ndarray | None:
+    """The entries as a complex vector when all are valid [re, im] pairs, else None.
+
+    Valid means what json_complex accepts, checked for the whole list at
+    once: each item a list of two parts, each part exactly an int or a
+    float (not a bool), and all finite as float64.
+    """
+    if type(entries) is not list or not entries:
+        return None
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+        return None
+    try:
+        parts = np.array(entries, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(np.complex128).reshape(-1)
 
 
 #: The string dumps writes in place of an array before splicing its text in.

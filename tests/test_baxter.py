@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tlhad import baxter
 from tlhad.baxter import (
     BraidData,
     baxterize,
@@ -121,6 +122,23 @@ def spectral_ybe_by_baxterize(b, samples):
         rhs = on_strands(r_w, on_strands(r_uw, kron(eye, r_u), (0, 1), n), (1, 2), n)
         worst = max(worst, max_abs(lhs - rhs))
     return worst
+
+
+def dense_mirror_difference(a, b, c, n):
+    """A12 B23 C12 - C23 B12 A23 on all n^3 columns, composed with on_strands."""
+    eye = identity(n)
+    lhs = on_strands(a, on_strands(b, kron(c, eye), (1, 2), n), (0, 1), n)
+    rhs = on_strands(c, on_strands(b, kron(eye, a), (0, 1), n), (1, 2), n)
+    return lhs - rhs
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestQFromNu:
@@ -361,45 +379,118 @@ class TestSpectralYbeAgainstOracle:
 
     def test_one_inverse_and_kernel_calls_independent_of_samples(self, monkeypatch):
         b = braid_from_spec(6)
-        inverses, products = [], []
-        real_inverse, real_on_strands = linalg.inverse, linalg.on_strands
+        inverses, kernel_calls = [], []
+        real_inverse, real_kernel = linalg.inverse, baxter._mirror_words
 
         def counting_inverse(*args, **kwargs):
             inverses.append(args)
             return real_inverse(*args, **kwargs)
 
-        def counting_on_strands(*args, **kwargs):
-            products.append(args)
-            return real_on_strands(*args, **kwargs)
+        def counting_kernel(*args, **kwargs):
+            kernel_calls.append(args)
+            return real_kernel(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("baxter must not form dense three-strand products")
 
         monkeypatch.setattr(linalg, "inverse", counting_inverse)
-        monkeypatch.setattr(linalg, "on_strands", counting_on_strands)
-        counts = []
+        monkeypatch.setattr(baxter, "_mirror_words", counting_kernel)
+        monkeypatch.setattr(linalg, "on_strands", refuse)
         for count in (5, 50):
             inverses.clear()
-            products.clear()
+            kernel_calls.clear()
             check_spectral_ybe(b, count=count)
+            # One inverse, then one kernel call per strand-0 column block.
             assert len(inverses) == 1
-            counts.append(len(products))
-        # check_braid's four products, then per first-strand column block
-        # 4 middle products and 7 words on each side.
-        assert counts == [4 + 22 * 6] * 2
+            assert len(kernel_calls) == 6
+        inverses.clear()
+        kernel_calls.clear()
+        check_braid(b.r_check)
+        check_ybe(to_plain_r(b))
+        assert inverses == []
+        assert len(kernel_calls) == 12
 
     def test_peak_memory_not_above_the_per_sample_loop(self):
         b = braid_from_spec(6)
         samples = spectral_samples(20, 42)
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        new = peak(lambda: check_spectral_ybe(b, samples=samples))
-        old = peak(lambda: spectral_ybe_by_baxterize(b, samples))
+        new = peak_bytes(lambda: check_spectral_ybe(b, samples=samples))
+        old = peak_bytes(lambda: spectral_ybe_by_baxterize(b, samples))
         assert new <= old
+
+
+class TestMirrorWordsAgainstOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
+    def test_every_block_matches_the_dense_words(self, case):
+        b = ORACLE_BRAIDS[case]()
+        n = b.local_dim
+        ops = np.stack((b.r_check, -inverse(b.r_check)))
+        floor = oracle_floor(b, [(1.0, 1.0)])
+        dense = {
+            abc: dense_mirror_difference(ops[abc[0]], ops[abc[1]], ops[abc[2]], n)
+            for abc in np.ndindex(2, 2, 2)
+        }
+        for k in range(n):
+            words = baxter._mirror_words(ops, k)
+            assert words.shape == (2, 2, 2, n**3, n * n)
+            for abc, full in dense.items():
+                block = full[:, k * n * n : (k + 1) * n * n]
+                assert max_abs(words[abc] - block) <= floor
+
+    @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
+    def test_check_braid_matches_the_kron_defect(self, case):
+        b = ORACLE_BRAIDS[case]()
+        n = b.local_dim
+        eye = identity(n)
+        r12, r23 = kron(b.r_check, eye), kron(eye, b.r_check)
+        dense = max_abs(r12 @ r23 @ r12 - r23 @ r12 @ r23)
+        assert abs(check_braid(b.r_check) - dense) <= oracle_floor(b, [(1.0, 1.0)])
+
+    def test_singular_r_check_is_checked(self):
+        # A rank-one projector: no inverse, and not a braid solution.
+        r = np.zeros((4, 4), dtype=complex)
+        r[0, 0] = 1
+        assert check_braid(r) == 0.0
+        r[0, 3] = 1
+        assert check_braid(r) == 1.0
+
+
+class TestMirrorWordsNonFinite:
+    @staticmethod
+    def overflow_in_last_block(n):
+        # R = diag(1, ..., 1, X): the defect entry (n-1, n-1, n-1) is X^3 - X^3
+        # = inf - inf, and every other entry is finite (at most X^2).
+        diag = np.ones(n * n)
+        diag[-1] = 1e120
+        return BraidData(q_from_nu(3), 3, np.diag(diag))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_in_the_last_block_is_not_dropped(self, n):
+        b = self.overflow_in_last_block(n)
+        ops = b.r_check[None]
+        with np.errstate(all="ignore"):
+            assert np.isfinite(baxter._mirror_words(ops, n - 2)).all()
+            assert not np.isfinite(baxter._mirror_words(ops, n - 1)).all()
+            braid = check_braid(b.r_check)
+            # tol = 0 admits the inverse: its condition estimate 1e120 is finite.
+            ybe = ybe_residuals(b, count=3, tol=0)
+        assert not math.isfinite(braid)
+        assert not math.isfinite(ybe.braid)
+
+
+class TestMirrorWordsMemory:
+    @pytest.mark.parametrize("n, bound", [(8, 16 * 8**6), (12, 20 * 2**20)])
+    def test_check_braid_peak(self, n, bound):
+        # n = 8: below one n^6 complex array (the dense path: 16.9 MB);
+        # n = 12: the dense path takes 191 MB.
+        r = random_braid(n, 40 + n).r_check
+        assert peak_bytes(lambda: check_braid(r)) < bound
+
+    def test_ybe_residuals_peak_not_above_the_coefficient_form(self):
+        # 3.45 MB: the peak of the earlier seven-coefficient form at n = 6, so
+        # the CLI's peak memory cannot grow.
+        b = braid_from_spec(6)
+        samples = spectral_samples(20, 42)
+        assert peak_bytes(lambda: ybe_residuals(b, samples)) <= 3.45e6
 
 
 class TestPlainYbe:

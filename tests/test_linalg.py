@@ -416,3 +416,44 @@ def test_json_round_trip_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     m = as_matrix(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
     assert np.array_equal(matrix_from_dict(matrix_to_dict(m)), m)
+
+
+#: Parts of a parsed JSON pair as json.load gives them: floats and ints,
+#: integers beyond 2^53 and beyond int64 included.
+JSON_PARTS = st.one_of(PARTS, st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 2**63, 10**300]))
+
+
+@settings(max_examples=80)
+@given(st.lists(st.lists(JSON_PARTS, min_size=2, max_size=2), min_size=1, max_size=12))
+def test_bulk_read_equals_the_per_entry_walk(entries):
+    got = matrix_from_dict({"rows": 1, "cols": len(entries), "entries": entries})
+    walked = np.array([linalg.json_complex(e, "entry") for e in entries], dtype=np.complex128)
+    # Compare bits, so that -0.0 and 0.0 differ.
+    assert got.shape == (1, len(entries))
+    assert np.array_equal(got.reshape(-1).view(np.uint64), walked.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([True, 0.0], "pair of JSON numbers"),
+        ([1.0, None], "pair of JSON numbers"),
+        ([1.0, 0.0, 0.0], "pair of JSON numbers"),
+        ((1.0, 0.0), None),
+        ([10**400, 0], "beyond the floating-point range"),
+        ([math.nan, 0.0], "finite parts"),
+        ([0.0, -math.inf], "finite parts"),
+    ],
+    ids=["bool", "null", "triple", "tuple", "huge_int", "nan", "inf"],
+)
+def test_bulk_read_falls_back_to_name_the_first_bad_entry(bad, message):
+    entries = [[1.0, 0.0], [0, 1], bad, [2.0, -0.0]]
+    if message is None:
+        # json.load gives no tuple, but the per-entry reader takes one.
+        got = matrix_from_dict({"rows": 2, "cols": 2, "entries": entries})
+        assert np.array_equal(got, as_matrix([[1, 1j], [1, 2]]))
+        return
+    for tail in ([], [[True, 1.0]]):
+        doc = {"rows": 2, "cols": 2 + len(tail) // 2, "entries": entries + tail}
+        with pytest.raises(ValueError, match=rf"entry 2 .*{message}"):
+            matrix_from_dict(doc)
