@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import sys
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,13 +45,16 @@ def _load_json(path: str):
 
 def _emit(payload: dict, out: str | None) -> None:
     # Strict JSON: a NaN or infinite value raises ValueError, which main
-    # reports. Matrix payloads carry their entries as arrays, which the
-    # writer formats without building per-entry lists.
-    text = linalg.dumps(payload) + "\n"
+    # reports. The writer makes every check before its first piece, so
+    # the --out file is opened, and stdout written, only once the render
+    # cannot fail; a matrix's text then comes a bounded piece at a time.
+    pieces = linalg.iterdumps(payload)
+    text = itertools.chain([next(pieces)], pieces, ["\n"])
     if out:
-        Path(out).write_text(text)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _parse_complex(text: str) -> complex:

@@ -11,10 +11,12 @@ travels as an [re, im] pair of finite JSON numbers, so files round-trip
 bit-exactly through the standard json module; integer fields must be
 JSON integers. The readers raise ValueError naming the offending field.
 complex_to_json and matrix_to_dict give plain JSON values (lists of
-pairs). The one writer, dumps, renders a document that may also hold
+pairs). The one writer, iterdumps, renders a document that may also hold
 complex numpy arrays (matrix_payload gives a matrix document of that
-kind) to the same bytes as json.dumps of its list form, formatting each
-distinct entry of an array once.
+kind) to the same bytes as json.dumps of its list form, in pieces of a
+bounded number of array entries, formatting each distinct entry of an
+array once; it makes every check before its first piece. dumps joins
+the pieces.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import cmath
 import itertools
 import json
 import math
-from typing import Callable, NamedTuple, Sequence
+import operator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,7 +54,7 @@ __all__ = [
     "matrix_payload",
     "matrix_to_dict",
     "matrix_from_dict",
-    "dumps",
+    "iterdumps",
 ]
 
 #: Default absolute tolerance for residual checks.
@@ -326,18 +329,30 @@ def _bulk_entries(entries) -> np.ndarray | None:
     return parts.view(np.complex128).reshape(-1)
 
 
-#: The string dumps writes in place of an array before splicing its text in.
+#: The string the writer puts in place of an array before splicing its text in.
 _ARRAY_MARK = "\x00array\x00"
 _ARRAY_MARK_JSON = json.dumps(_ARRAY_MARK)
 
+#: Entries of an array written per piece of iterdumps.
+_CHUNK = 4096
 
-def dumps(doc) -> str:
-    """One line of strict JSON: json.dumps(doc, sort_keys=True, allow_nan=False).
+#: The four entries whose parts are both ±0, at slot 2·signbit(re) + signbit(im).
+_ZERO_PAIRS = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+_SIGNED_ZEROS = np.array(_ZERO_PAIRS).view(np.complex128).reshape(-1)
+_ZERO_TEXTS = [json.dumps(pair) for pair in _ZERO_PAIRS]
 
-    A numpy array in doc is written as complex_to_json(array) would be,
-    byte for byte, without building its lists: the distinct entries, told
-    apart by bit pattern (so -0.0 is not 0.0), are formatted once each
-    and their texts joined. A non-finite value raises ValueError.
+
+def iterdumps(doc) -> Iterator[str]:
+    """The text of dumps(doc) in pieces; an array's text comes _CHUNK entries a piece.
+
+    Every check runs before the first piece is made: a TypeError for an
+    object that is neither JSON nor a numpy array, a ValueError for a
+    non-finite value, array entries included. So a caller that writes
+    the pieces as they come has written nothing when the render fails.
+    The checks build each array's table of distinct entry texts and one
+    index per entry; the text itself is made a piece at a time. A
+    document with a string that spells the array mark is written as one
+    piece, from the arrays' list form.
     """
     arrays = []
 
@@ -351,41 +366,91 @@ def dumps(doc) -> str:
     pieces = text.split(_ARRAY_MARK_JSON)
     if len(pieces) != len(arrays) + 1:
         # A string of doc spells the mark; write the arrays as lists instead.
-        return json.dumps(doc, sort_keys=True, allow_nan=False, default=complex_to_json)
-    out = [pieces[0]]
-    for array, piece in zip(arrays, pieces[1:]):
-        out += (_array_text(array), piece)
-    return "".join(out)
+        yield json.dumps(doc, sort_keys=True, allow_nan=False, default=complex_to_json)
+        return
+    tables = [_entry_table(np.asarray(a, dtype=np.complex128)) for a in arrays]
+    yield pieces[0]
+    for array, table, piece in zip(arrays, tables, pieces[1:]):
+        yield from _array_pieces(array, *table)
+        yield piece
 
 
-def _array_text(z) -> str:
-    """json.dumps(complex_to_json(z)), each distinct entry formatted once."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.size == 0:
-        return json.dumps(complex_to_json(z))
+def dumps(doc) -> str:
+    """One line of strict JSON: json.dumps(doc, sort_keys=True, allow_nan=False).
+
+    A numpy array in doc is written as complex_to_json(array) would be,
+    byte for byte, without building its lists: the join of iterdumps(doc).
+    A non-finite value raises ValueError.
+    """
+    return "".join(iterdumps(doc))
+
+
+def _entry_table(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, inverse): the [re, im] text of each distinct entry of z, and
+    the index of each entry's text. Raises ValueError for a non-finite entry.
+    """
     distinct, inverse = _distinct(z.reshape(-1))
     if not np.isfinite(distinct).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    table = np.array(
-        [f"[{re!r}, {im!r}]" for re, im in zip(distinct.real.tolist(), distinct.imag.tolist())],
-        dtype=object,
-    )
-    items = table[inverse].tolist()
-    for size in z.shape[:0:-1]:
-        items = ["[" + ", ".join(items[i : i + size]) + "]" for i in range(0, len(items), size)]
-    return "[" + ", ".join(items) + "]" if z.ndim else items[0]
+    rest = distinct[len(_ZERO_PAIRS) :]
+    formatted = [f"[{re!r}, {im!r}]" for re, im in zip(rest.real.tolist(), rest.imag.tolist())]
+    return np.array(_ZERO_TEXTS + formatted, dtype=object), inverse
+
+
+def _array_pieces(z: np.ndarray, texts: np.ndarray, inverse: np.ndarray) -> Iterator[str]:
+    """json.dumps(complex_to_json(z)) from z's _entry_table, _CHUNK entries a piece."""
+    shape, size = z.shape, z.size
+    if size == 0:
+        yield json.dumps(complex_to_json(z))
+        return
+    # blocks[k] entries make one list of the k-th innermost axis.
+    blocks = list(itertools.accumulate(shape[:0:-1], operator.mul))
+    for start in range(0, size, _CHUNK):
+        text = _joined(texts[inverse[start : start + _CHUNK]].tolist(), start, blocks)
+        if start == 0:
+            text = "[" * len(shape) + text
+        if start + _CHUNK >= size:
+            text += "]" * len(shape)
+        yield text
+
+
+def _joined(items: list[str], start: int, blocks: list[int]) -> str:
+    """The texts of entries start, start + 1, ... of an array, each after its separator.
+
+    An entry that starts k lists of the inner axes (index a multiple of
+    blocks[k - 1]) closes the k lists before it: "]" * k + ", " + "[" * k.
+    The array's first entry has no separator.
+    """
+    row = blocks[0] if blocks else start + len(items)
+    out = []
+    at, stop = start, start + len(items)
+    while at < stop:
+        if at:
+            k = sum(at % size == 0 for size in blocks)
+            out.append("]" * k + ", " + "[" * k)
+        end = min(stop, (at // row + 1) * row)
+        out.append(", ".join(items[at - start : end - start]))
+        at = end
+    return "".join(out)
 
 
 def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, inverse) with flat == distinct[inverse] bit for bit."""
-    # Sort the entries by their bits; a run of equal bits is one distinct entry.
-    bits = np.stack((flat.real, flat.imag)).view(np.uint64)
+    """(distinct, inverse) with flat == distinct[inverse] bit for bit.
+
+    distinct starts with the four ±0 entries of _SIGNED_ZEROS, and an
+    entry whose parts are both ±0 takes the slot its two sign bits give,
+    unsorted. Only the other entries are sorted by their bits, and each
+    run of equal bits among them is one more distinct entry.
+    """
+    inverse = np.signbit(flat.real) * 2
+    inverse += np.signbit(flat.imag)
+    rest_at = np.flatnonzero(flat != 0)
+    rest = flat[rest_at]
+    bits = np.stack((rest.real, rest.imag)).view(np.uint64)
     order = np.lexsort(bits)
     bits = bits[:, order]
-    first = np.ones(flat.size, dtype=bool)
+    first = np.ones(rest.size, dtype=bool)
     first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-    del bits  # before the index arrays: it sets the render's peak memory
-    inverse = np.empty(flat.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first)
-    inverse -= 1
-    return flat[order[first]], inverse
+    del bits  # before the index arrays: for an array with few ±0 entries it sets the peak
+    inverse[rest_at[order]] = np.cumsum(first) + (len(_ZERO_PAIRS) - 1)
+    return np.concatenate((_SIGNED_ZEROS, rest[order[first]])), inverse

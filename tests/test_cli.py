@@ -4,6 +4,7 @@ import cmath
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -823,6 +824,48 @@ def test_embedded_render_peaks_at_half_the_list_render(inputs, tmp_path):
     finally:
         tracemalloc.stop()
     assert cli_peak <= list_peak / 2
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+def test_embedded_render_peak_is_bounded(inputs, tmp_path, to_file):
+    # The n=4 Fourier generator on 4 sites at bond 2: 65536 entries, a
+    # 1 MiB array. A render that holds the document's whole text and a
+    # list of its entries' texts peaks above 3.5 MiB here.
+    argv = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
+    if to_file:
+        argv += ["--out", str(tmp_path / "t.json")]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 2**20
+
+
+def test_late_non_finite_entry_writes_nothing(inputs, tmp_path, monkeypatch, capsys):
+    # A payload whose one non-finite entry lies past the writer's first
+    # piece: the render fails before any byte reaches stdout or --out.
+    def late_nan_payload(m):
+        entries = np.array(m, dtype=np.complex128).reshape(-1)
+        entries[-1] = complex(1.0, math.nan)
+        return {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
+
+    monkeypatch.setattr(linalg, "matrix_payload", late_nan_payload)
+    argv = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
+    assert 4**8 > linalg._CHUNK
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:")
+    fresh = tmp_path / "fresh.json"
+    code, out, err = run(capsys, *argv, "--out", str(fresh))
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert not fresh.exists()
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"kept": [1.0, -0.0]}\n')
+    code, out, err = run(capsys, *argv, "--out", str(old))
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert old.read_bytes() == b'{"kept": [1.0, -0.0]}\n'
 
 
 def test_cli_writes_matrices_through_the_array_payload_only():
