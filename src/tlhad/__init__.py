@@ -12,34 +12,24 @@ from __future__ import annotations
 
 from .baxter import (
     BraidData,
-    YbeResiduals,
-    baxterize,
     braid_from_tl,
     check_braid,
     check_spectral_ybe,
     check_ybe,
-    flip_operator,
     hecke_residual,
-    q_from_nu,
     spectral_samples,
     to_plain_r,
     ybe_residuals,
 )
 from .hadamard import (
     EquivalenceMove,
-    HadamardVerdict,
     apply_equivalence,
     dephase,
     dita,
     f4_family,
     f6_family,
     fourier,
-    identity_move,
-    invert_move,
-    is_butson,
-    is_chm,
     is_ghm,
-    permutation_matrix,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -76,19 +66,15 @@ from .master import (
 )
 from .tlrep import (
     TLAnsatz,
-    TLReport,
     build_local_generator,
     check_master4,
-    eigenvector_condition,
     embed,
     fixture_u1,
     fixture_u1_ansatz,
     fixture_u2,
     fixture_u2_ansatz,
-    gauge_transform,
     reconstruct_m,
     verify_tl,
-    verify_tl_local,
     weighted_hadamard_check,
 )
 
@@ -113,16 +99,10 @@ __all__ = [
     "matrix_to_dict",
     "matrix_from_dict",
     # hadamard
-    "HadamardVerdict",
     "EquivalenceMove",
-    "identity_move",
-    "invert_move",
-    "permutation_matrix",
     "apply_equivalence",
     "dephase",
-    "is_chm",
     "is_ghm",
-    "is_butson",
     "fourier",
     "f4_family",
     "f6_family",
@@ -144,32 +124,24 @@ __all__ = [
     "h1",
     # tlrep
     "TLAnsatz",
-    "TLReport",
     "build_local_generator",
     "embed",
     "verify_tl",
-    "verify_tl_local",
     "check_master4",
-    "eigenvector_condition",
     "reconstruct_m",
     "weighted_hadamard_check",
-    "gauge_transform",
     "fixture_u1",
     "fixture_u2",
     "fixture_u1_ansatz",
     "fixture_u2_ansatz",
     # baxter
     "BraidData",
-    "q_from_nu",
     "braid_from_tl",
     "hecke_residual",
     "check_braid",
-    "baxterize",
     "spectral_samples",
     "check_spectral_ybe",
-    "YbeResiduals",
     "ybe_residuals",
-    "flip_operator",
     "to_plain_r",
     "check_ybe",
 ]

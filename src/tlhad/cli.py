@@ -370,10 +370,11 @@ def _search_master_rep(args) -> tuple[dict, bool]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
-    common.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
-    common.add_argument("--out", help="write JSON here instead of stdout")
+    # Every leaf takes --out; --tol only where its handler passes it on.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write JSON here instead of stdout")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
 
     parser = argparse.ArgumentParser(
         prog="tlhad",
@@ -381,41 +382,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def leaf(group, name: str, handler: Callable, help_text: str):
-        sub = group.add_parser(name, parents=[common], help=help_text)
+    def leaf(group, name: str, handler: Callable, help_text: str, tolerant: bool = True):
+        sub = group.add_parser(name, parents=[tol, out] if tolerant else [out], help=help_text)
         sub.set_defaults(handler=handler)
         return sub
 
     gen = verbs.add_parser("gen", help="construct matrices and specs").add_subparsers(
         dest="target", required=True
     )
-    sub = leaf(gen, "fourier", _gen_fourier, "Fourier matrix")
+    gen_leaf = functools.partial(leaf, gen, tolerant=False)
+    sub = gen_leaf("fourier", _gen_fourier, "Fourier matrix")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--ell", type=int, default=1)
-    sub = leaf(gen, "f4", _gen_f4, "one-parameter size-4 family")
+    sub = gen_leaf("f4", _gen_f4, "one-parameter size-4 family")
     sub.add_argument("--a", required=True)
-    sub = leaf(gen, "f6", _gen_f6, "two-parameter size-6 family")
+    sub = gen_leaf("f6", _gen_f6, "two-parameter size-6 family")
     sub.add_argument("--a", required=True)
     sub.add_argument("--b", required=True)
-    sub = leaf(gen, "dita", _gen_dita, "block construction from an outer matrix and blocks")
+    sub = gen_leaf("dita", _gen_dita, "block construction from an outer matrix and blocks")
     sub.add_argument("--a", required=True, help="outer matrix JSON path")
     sub.add_argument(
         "--block", action="append", required=True, help="block matrix JSON path (repeat n times)"
     )
-    sub = leaf(gen, "nest", _gen_nest, "iterated Fourier master spec")
+    sub = gen_leaf("nest", _gen_nest, "iterated Fourier master spec")
     sub.add_argument("--stages", required=True, help="nesting spec JSON path")
-    leaf(gen, "h0", _gen_h0, "printed non-master Hadamard matrix, cube-root entries")
-    sub = leaf(gen, "h1", _gen_h1, "printed non-master Hadamard family")
+    gen_leaf("h0", _gen_h0, "printed non-master Hadamard matrix, cube-root entries")
+    sub = gen_leaf("h1", _gen_h1, "printed non-master Hadamard family")
     sub.add_argument("--a", required=True)
-    leaf(gen, "fixture-u1", _gen_fixture_u1, "printed weighted 9x9 generator")
-    leaf(gen, "fixture-u2", _gen_fixture_u2, "printed plain 9x9 generator")
-    sub = leaf(gen, "master-fourier", _gen_master_fourier, "Fourier master spec")
+    gen_leaf("fixture-u1", _gen_fixture_u1, "printed weighted 9x9 generator")
+    gen_leaf("fixture-u2", _gen_fixture_u2, "printed plain 9x9 generator")
+    sub = gen_leaf("master-fourier", _gen_master_fourier, "Fourier master spec")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--ell", type=int, default=1)
-    sub = leaf(gen, "master-f4", _gen_master_f4, "size-4 master spec")
+    sub = gen_leaf("master-f4", _gen_master_f4, "size-4 master spec")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
-    sub = leaf(gen, "master-f6", _gen_master_f6, "size-6 master spec")
+    sub = gen_leaf("master-f6", _gen_master_f6, "size-6 master spec")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--s", type=int, required=True)
@@ -441,16 +443,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = leaf(check, "hecke", _check_hecke, "Hecke condition of the braid generator")
     sub.add_argument("--ansatz")
     sub.add_argument("--braid")
-    sub.add_argument("--sites", type=int)
     sub = leaf(check, "braid", _check_braid, "constant braided Yang-Baxter equation")
     sub.add_argument("--ansatz")
     sub.add_argument("--braid")
-    sub.add_argument("--sites", type=int)
     sub = leaf(check, "ybe", _check_ybe, "constant and spectral Yang-Baxter equations")
     sub.add_argument("--ansatz")
     sub.add_argument("--braid")
-    sub.add_argument("--sites", type=int)
     sub.add_argument("--samples", type=int, default=20)
+    sub.add_argument("--seed", type=int, default=42, help="seed for the spectral samples")
     sub = leaf(check, "weighted-hadamard", _check_weighted_hadamard, "weighted Hadamard identity")
     sub.add_argument("--omega", required=True)
     sub.add_argument("--v", required=True, help="comma-separated complex weights")
@@ -467,19 +467,21 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--exponents", help="comma-separated integers")
         sub.add_argument("--v", help="comma-separated complex weights")
         sub.add_argument("--w", help="comma-separated complex weights")
-        sub.add_argument("--sites", type=int)
 
     sub = leaf(build, "tl-local", _build_tl_local, "local generator from an ansatz")
     ansatz_flags(sub)
     sub = leaf(build, "tl-embedded", _build_tl_embedded, "embedded generator at a bond")
     ansatz_flags(sub)
+    sub.add_argument("--sites", type=int)
     sub.add_argument("--site", type=int, required=True)
     sub = leaf(build, "braid", _build_braid, "braid data from an ansatz")
     ansatz_flags(sub)
     sub = leaf(build, "rmatrix", _build_rmatrix, "plain R-matrix from ansatz or braid data")
     ansatz_flags(sub)
     sub.add_argument("--braid", help="braid data JSON path")
-    sub = leaf(build, "reconstruct-m", _build_reconstruct_m, "rebuild M from a spec and H")
+    sub = leaf(
+        build, "reconstruct-m", _build_reconstruct_m, "rebuild M from a spec and H", tolerant=False
+    )
     sub.add_argument("--spec", required=True)
     sub.add_argument("--h", required=True, help="Hadamard matrix JSON path")
 

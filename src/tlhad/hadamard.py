@@ -36,8 +36,6 @@ from .linalg import DEFAULT_TOL, Matrix, SingularMatrixError
 __all__ = [
     "HadamardVerdict",
     "EquivalenceMove",
-    "identity_move",
-    "invert_move",
     "permutation_matrix",
     "apply_equivalence",
     "dephase",
@@ -48,7 +46,6 @@ __all__ = [
     "butson_residual",
     "root_phases",
     "butson_order",
-    "is_butson",
     "fourier",
     "f4_family",
     "f6_family",
@@ -99,13 +96,6 @@ class EquivalenceMove:
             raise ValueError("permutation and diagonal sizes must agree on each side")
 
 
-def identity_move(n: int) -> EquivalenceMove:
-    """The trivial equivalence move on size-n matrices."""
-    idp = tuple(range(n))
-    ones = (complex(1.0),) * n
-    return EquivalenceMove(idp, ones, ones, idp)
-
-
 def permutation_matrix(perm) -> Matrix:
     """0-1 matrix P with P[i, perm[i]] = 1, so (P @ u)[i] = u[perm[i]]."""
     perm = tuple(int(p) for p in perm)
@@ -115,23 +105,6 @@ def permutation_matrix(perm) -> Matrix:
     out = linalg.zeros(n, n)
     out[np.arange(n), perm] = 1.0
     return out
-
-
-def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-def invert_move(move: EquivalenceMove) -> EquivalenceMove:
-    """The move undoing `move`: apply_equivalence(apply_equivalence(u, m), invert_move(m)) == u."""
-    lp_inv = _inverse_perm(move.left_perm)
-    rp_inv = _inverse_perm(move.right_perm)
-    # P1^-1 D1^-1 = (P1^-1) diag(1/d1[p1[i]]) after commuting the diagonal through.
-    left_diag = tuple(1.0 / move.left_diag[p] for p in move.left_perm)
-    right_diag = tuple(1.0 / move.right_diag[p] for p in rp_inv)
-    return EquivalenceMove(lp_inv, left_diag, right_diag, rp_inv)
 
 
 def apply_equivalence(u: Matrix, move: EquivalenceMove) -> Matrix:
@@ -271,11 +244,6 @@ def butson_order(u: Matrix, tol: float, limit: int) -> int | None:
         return None
     q = math.lcm(*(r for row in phases for _, r in row))
     return q if q <= limit else None
-
-
-def is_butson(u: Matrix, q: int, tol: float = DEFAULT_TOL) -> bool:
-    """True iff u is a CHM whose entries are all q-th roots of unity."""
-    return is_chm(u, tol) and butson_residual(u, q) <= tol
 
 
 def is_ghm(u: Matrix, tol: float = DEFAULT_TOL, butson_limit: int = BUTSON_SCAN_LIMIT) -> HadamardVerdict:

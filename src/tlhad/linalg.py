@@ -15,8 +15,7 @@ pairs). The one writer, iterdumps, renders a document that may also hold
 complex numpy arrays (matrix_payload gives a matrix document of that
 kind) to the same bytes as json.dumps of its list form, in pieces of a
 bounded number of array entries, formatting each distinct entry of an
-array once; it makes every check before its first piece. dumps joins
-the pieces.
+array once; it makes every check before its first piece.
 """
 from __future__ import annotations
 
@@ -78,10 +77,14 @@ class Comparison(NamedTuple):
 def as_matrix(entries) -> Matrix:
     """Coerce nested sequences (or an ndarray) to a finite complex matrix.
 
-    Raises ValueError for anything that is not a nonempty 2-D array of
-    finite complex numbers.
+    The result is a new array, never the caller's. Raises ValueError for
+    anything that is not a nonempty 2-D array of finite complex numbers.
     """
-    mat = np.array(entries, dtype=np.complex128)
+    return _finite_matrix(np.array(entries, dtype=np.complex128))
+
+
+def _finite_matrix(mat: np.ndarray) -> Matrix:
+    """mat itself, once it is checked to be a nonempty 2-D array of finite entries."""
     if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
     if not (np.isfinite(mat.real).all() and np.isfinite(mat.imag).all()):
@@ -275,9 +278,11 @@ def complex_to_json(z) -> list:
 def matrix_payload(m: Matrix) -> dict:
     """{"rows", "cols", "entries"} of a finite matrix, entries a flat row-major array.
 
-    The document for dumps: it writes the array as matrix_to_dict's pairs.
+    The document for iterdumps, which writes the array as matrix_to_dict's
+    pairs. A C-ordered complex128 matrix is not copied: the entries are a
+    view of it.
     """
-    m = as_matrix(m)
+    m = _finite_matrix(np.asarray(m, dtype=np.complex128))
     rows, cols = m.shape
     return {"rows": rows, "cols": cols, "entries": m.reshape(-1)}
 
@@ -343,7 +348,11 @@ _ZERO_TEXTS = [json.dumps(pair) for pair in _ZERO_PAIRS]
 
 
 def iterdumps(doc) -> Iterator[str]:
-    """The text of dumps(doc) in pieces; an array's text comes _CHUNK entries a piece.
+    """One line of strict JSON in pieces; an array's text comes _CHUNK entries a piece.
+
+    The pieces join to json.dumps(doc, sort_keys=True, allow_nan=False),
+    with each numpy array in doc written as complex_to_json(array) would
+    be, byte for byte, without building its lists.
 
     Every check runs before the first piece is made: a TypeError for an
     object that is neither JSON nor a numpy array, a ValueError for a
@@ -373,16 +382,6 @@ def iterdumps(doc) -> Iterator[str]:
     for array, table, piece in zip(arrays, tables, pieces[1:]):
         yield from _array_pieces(array, *table)
         yield piece
-
-
-def dumps(doc) -> str:
-    """One line of strict JSON: json.dumps(doc, sort_keys=True, allow_nan=False).
-
-    A numpy array in doc is written as complex_to_json(array) would be,
-    byte for byte, without building its lists: the join of iterdumps(doc).
-    A non-finite value raises ValueError.
-    """
-    return "".join(iterdumps(doc))
 
 
 def _entry_table(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,6 @@ __all__ = [
     "eigenvector_condition",
     "reconstruct_m",
     "weighted_hadamard_check",
-    "gauge_transform",
     "fixture_u1",
     "fixture_u2",
     "fixture_u1_ansatz",
@@ -439,19 +438,6 @@ def weighted_hadamard_check(
     rhs = complex(alpha) * linalg.inverse(omega, tol).T
     residual = linalg.max_abs(lhs - rhs)
     return Comparison(residual <= tol, residual)
-
-
-def gauge_transform(local: Matrix, g: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """Conjugate a local generator by g (x) g (preserves all TL residual structure)."""
-    local = linalg.as_matrix(local)
-    g = linalg.as_matrix(g)
-    n = linalg._require_square(g, "gauge matrix")
-    if local.shape != (n * n, n * n):
-        raise ValueError(
-            f"local generator must be {n * n}x{n * n} for a {n}x{n} gauge, got {local.shape}"
-        )
-    gg = linalg.kron(g, g)
-    return gg @ local @ linalg.inverse(gg, tol)
 
 
 # The two printed 9x9 reference generators. Entries lie in {0, 1, w, w^2}

@@ -1,11 +1,13 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import cmath
 import copy
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -880,6 +882,78 @@ def test_non_finite_result_exits_2_with_nothing_written(inputs, tmp_path, capsys
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
     assert (code, out) == (2, "") and err.startswith("error:")
     assert not (tmp_path / "out.json").exists()
+
+
+# -------------------------------------------------------------- flags --
+
+def _leaves(parser, prefix=()):
+    """(command, flags) of each leaf command under parser; -h is not counted."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, prefix + (name,))
+            return
+    flags = [
+        flag
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    ]
+    yield " ".join(prefix), flags
+
+
+LEAVES = dict(_leaves(cli._build_parser()))
+
+
+def test_each_flag_sits_only_where_its_handler_reads_it():
+    assert len(LEAVES) == 28
+    assert sum(map(len, LEAVES.values())) == 108
+    assert all("--out" in flags for flags in LEAVES.values())
+
+    def having(flag):
+        return sorted(name for name, flags in LEAVES.items() if flag in flags)
+
+    assert having("--seed") == ["check ybe"]
+    assert having("--sites") == ["build tl-embedded", "check tl"]
+    untolerant = [name for name in LEAVES if name.startswith("gen ")] + ["build reconstruct-m"]
+    assert sorted(set(LEAVES) - set(having("--tol"))) == sorted(untolerant)
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(cli.__file__).parents[2] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9 -]+)` \| (.*) \|$", section, re.M)
+    table = {command: set(re.findall(r"`(--[a-z-]+)`", cell)) for command, cell in rows}
+    # --out is on every command, so the table leaves it out.
+    assert table == {command: set(flags) - {"--out"} for command, flags in LEAVES.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen fourier --n 3 --seed 1",
+        "gen h0 --tol 1e-3",
+        "check hecke --braid b.json --sites 3",
+        "build tl-local --ansatz a.json --sites 5",
+        "build reconstruct-m --spec s.json --h h.json --tol 1e-3",
+    ],
+    ids=["gen_seed", "gen_tol", "hecke_sites", "tl_local_sites", "reconstruct_m_tol"],
+)
+def test_a_flag_the_command_does_not_read_exits_2(capsys, workdir, argv):
+    ansatz = fixture_u2_ansatz()
+    braid = braid_from_tl(build_local_generator(ansatz), ansatz.alpha)
+    (workdir / "b.json").write_text(json.dumps(braid.to_dict()))
+    (workdir / "a.json").write_text(json.dumps(ansatz.to_dict()))
+    (workdir / "s.json").write_text(json.dumps(fourier_master(3).to_dict()))
+    write_matrix(str(workdir / "h.json"), fourier(3))
+    *valid, flag, value = argv.split()
+    code, out, err = run(capsys, *valid, flag, value, "--out", "out.json")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert not (workdir / "out.json").exists()
+    # Without the flag the same command succeeds.
+    assert run(capsys, *valid, "--out", "out.json")[:2] == (0, "")
+    assert (workdir / "out.json").exists()
 
 
 # -------------------------------------------------------- parser reuse --

@@ -19,15 +19,12 @@ from tlhad.hadamard import (
     f6_family,
     fourier,
     ghm_residual,
-    identity_move,
-    invert_move,
-    is_butson,
     is_chm,
     is_ghm,
     permutation_matrix,
     root_phases,
 )
-from tlhad.linalg import as_matrix, diag, identity, kron, unit_root
+from tlhad.linalg import DEFAULT_TOL, as_matrix, diag, identity, kron, unit_root
 
 
 def random_unimodular(rng, n):
@@ -139,22 +136,23 @@ class TestGhm:
 
 class TestButson:
     def test_fourier_three_is_butson_three(self):
-        assert is_butson(fourier(3), 3)
+        assert is_chm(fourier(3))
         assert butson_residual(fourier(3), 3) < 1e-14
 
     def test_real_hadamard_is_butson_two(self):
-        assert is_butson(as_matrix([[1, 1], [1, -1]]), 2)
+        u = as_matrix([[1, 1], [1, -1]])
+        assert is_chm(u) and butson_residual(u, 2) <= DEFAULT_TOL
 
     def test_f4_with_tenth_root_is_not_butson_four(self):
         import cmath
 
         a = cmath.exp(1j * math.pi / 5)
         assert is_chm(f4_family(a))
-        assert not is_butson(f4_family(a), 4)
+        assert butson_residual(f4_family(a), 4) > DEFAULT_TOL
 
     def test_nonpositive_order_rejected(self):
         with pytest.raises(ValueError):
-            is_butson(fourier(2), 0)
+            butson_residual(fourier(2), 0)
 
     def test_minimal_order_reported(self):
         # F4 at a = i is a fourth-root matrix and not a q-th-root matrix
@@ -195,10 +193,6 @@ class TestRootPhases:
 
 
 class TestEquivalenceMoves:
-    def test_identity_move_is_identity(self):
-        u = fourier(3)
-        np.testing.assert_allclose(apply_equivalence(u, identity_move(3)), u, rtol=0, atol=0)
-
     def test_permutation_matrix(self):
         p = permutation_matrix((2, 0, 1))
         np.testing.assert_allclose(p, as_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), rtol=0, atol=0)
@@ -223,24 +217,6 @@ class TestEquivalenceMoves:
                 perm2,
             )
             assert is_chm(apply_equivalence(fourier(n), move))
-
-    def test_invert_move_round_trip(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            scale = rng.uniform(0.5, 2.0, size=n)
-            move = EquivalenceMove(
-                tuple(rng.permutation(n).tolist()),
-                tuple(scale * random_unimodular(rng, n)),
-                tuple(random_unimodular(rng, n)),
-                tuple(rng.permutation(n).tolist()),
-            )
-            u = as_matrix(
-                rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            )
-            forward = apply_equivalence(u, move)
-            back = apply_equivalence(forward, invert_move(move))
-            np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)
 
     def test_move_validation(self):
         with pytest.raises(ValueError):
