@@ -17,6 +17,8 @@ import cmath
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 from typing import Callable, Sequence
 
@@ -50,11 +52,19 @@ def _emit(payload: dict, out: str | None) -> None:
     # cannot fail; a matrix's text then comes a bounded piece at a time.
     pieces = linalg.iterdumps(payload)
     text = itertools.chain([next(pieces)], pieces, ["\n"])
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(text)
-    else:
+    if out is None:
         sys.stdout.writelines(text)
+        return
+    # The file is written over in place and then cut at the end of the new
+    # text: truncating it to zero first (O_TRUNC) costs more than the write
+    # of a small document on ext4 mounted with discard. Only a regular file
+    # is cut, as O_TRUNC leaves a FIFO, a tty or /dev/null alone.
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(text)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _parse_complex(text: str) -> complex:

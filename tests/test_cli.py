@@ -8,9 +8,11 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -882,6 +884,150 @@ def test_non_finite_result_exits_2_with_nothing_written(inputs, tmp_path, capsys
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
     assert (code, out) == (2, "") and err.startswith("error:")
     assert not (tmp_path / "out.json").exists()
+
+
+# ------------------------------------------------- --out written in place --
+
+@pytest.fixture(scope="module")
+def long_doc(inputs, tmp_path_factory):
+    """The 65536-entry f4s4 bond-2 generator document, as bytes."""
+    path = tmp_path_factory.mktemp("long") / "long.json"
+    argv = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
+    assert main(argv + ["--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _payload_text(argv):
+    args = cli._build_parser().parse_args(argv)
+    return "".join(linalg.iterdumps(args.handler(args)[0])) + "\n"
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_out_over_a_long_file_equals_a_fresh_write(case, inputs, long_doc, tmp_path):
+    argv = PARITY_CASES[case].format(d=inputs).split()
+    fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
+    over.write_bytes(long_doc)
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        fresh_code = main(argv + ["--out", str(fresh)])
+        over_code = main(argv + ["--out", str(over)])
+    assert fresh_code == over_code in (0, 1)
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    assert over.read_bytes() == fresh.read_bytes() == _payload_text(argv).encode()
+
+
+def test_short_long_short_on_one_path(inputs, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    short = ["gen", "fourier", "--n", "2"]
+    long = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
+    sizes = []
+    for argv in (short, long, short):
+        code, expected, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_text() == expected
+        sizes.append(len(expected))
+    assert sizes[0] == sizes[2] < sizes[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "chm", "--matrix", "{f}"],  # a result shorter than the input
+        ["build", "tl-local", "--m", "{f}", "--exponents", "0,1,2"],  # one longer
+    ],
+    ids=["shorter", "longer"],
+)
+def test_out_may_be_the_commands_own_input(argv, inputs, tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_bytes((inputs / "m.json").read_bytes())
+    argv = [part.format(f=f) for part in argv]
+    code, expected, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(f)) == (code, "", "")
+    assert f.read_text() == expected
+
+
+def test_out_is_opened_without_o_trunc(monkeypatch, long_doc, tmp_path):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *rest, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *rest, **kwargs)
+
+    path = tmp_path / "t.json"
+    path.write_bytes(long_doc)
+    inode = path.stat().st_ino
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["gen", "h0", "--out", str(path)]) == 0
+    monkeypatch.undo()
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    assert path.stat().st_ino == inode
+    assert path.read_text() == _payload_text(["gen", "h0"])
+
+
+def test_a_write_that_fails_midway_leaves_only_the_new_prefix(
+    long_doc, tmp_path, monkeypatch, capsys
+):
+    argv = ["gen", "fourier", "--n", "3"]
+    args = cli._build_parser().parse_args(argv)
+    prefix = next(linalg.iterdumps(args.handler(args)[0]))
+    assert 0 < len(prefix) < len(_payload_text(argv)) < len(long_doc)
+    iterdumps = linalg.iterdumps
+
+    def fail_after_first_piece(doc):
+        pieces = iterdumps(doc)
+        yield next(pieces)
+        raise OSError("write failed")
+
+    monkeypatch.setattr(linalg, "iterdumps", fail_after_first_piece)
+    path = tmp_path / "t.json"
+    path.write_bytes(long_doc)
+    assert run(capsys, *argv, "--out", str(path)) == (2, "", "error: write failed\n")
+    assert path.read_text() == prefix
+
+
+def test_out_to_dev_null_exits_0(capsys):
+    assert run(capsys, "gen", "fourier", "--n", "3", "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_out_to_a_fifo_gives_its_reader_the_bytes(tmp_path, capsys):
+    argv = ["gen", "fourier", "--n", "3"]
+    expected = run(capsys, *argv)[1].encode()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, *argv, "--out", str(fifo)) == (0, "", "")
+    reader.join(timeout=10)
+    assert got == [expected]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_out_to_a_full_device_exits_2(capsys):
+    code, out, err = run(capsys, "gen", "fourier", "--n", "3", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["", "{d}", "{d}/missing/t.json"], ids=["empty", "dir", "no_parent"])
+def test_out_that_cannot_be_opened_exits_2(target, tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "fourier", "--n", "3", "--out", target.format(d=tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_new_out_file_gets_the_mode_of_open_w(tmp_path):
+    old_mask = os.umask(0o027)
+    try:
+        (tmp_path / "ref.json").open("w").close()
+        with redirect_stdout(io.StringIO()):
+            assert main(["gen", "h0", "--out", str(tmp_path / "new.json")]) == 0
+    finally:
+        os.umask(old_mask)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("ref.json", "new.json")}
+    assert modes == {0o640}
 
 
 # -------------------------------------------------------------- flags --
