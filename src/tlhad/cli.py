@@ -57,14 +57,23 @@ def _emit(payload: dict, out: str | None) -> None:
         return
     # The file is written over in place and then cut at the end of the new
     # text: truncating it to zero first (O_TRUNC) costs more than the write
-    # of a small document on ext4 mounted with discard. Only a regular file
-    # is cut, as O_TRUNC leaves a FIFO, a tty or /dev/null alone.
+    # of a small document on ext4 mounted with discard. The cut is made at
+    # the descriptor's offset, which counts only the bytes the system took,
+    # so after a write that fails part-way only new bytes remain. Only a
+    # regular file with old bytes past that offset is cut: O_TRUNC leaves a
+    # FIFO, a tty or /dev/null alone, and ext4 does truncate work even at
+    # the same length (the flush puts the offset at the end of the text).
     with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
         try:
             fh.writelines(text)
+            fh.flush()
         finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+            fd = fh.fileno()
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if st.st_size > end:
+                    os.ftruncate(fd, end)
 
 
 def _parse_complex(text: str) -> complex:

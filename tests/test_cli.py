@@ -791,14 +791,25 @@ PARITY_CASES = {
 }
 
 
+@pytest.fixture(scope="module")
+def long_doc(inputs, tmp_path_factory):
+    """The 65536-entry f4s4 bond-2 generator document, as bytes."""
+    path = tmp_path_factory.mktemp("long") / "long.json"
+    argv = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
+    assert main(argv + ["--out", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("case", PARITY_CASES)
-def test_output_is_the_indented_render_compacted(case, inputs, tmp_path):
+def test_output_is_the_indented_render_compacted(case, inputs, long_doc, tmp_path):
     argv = PARITY_CASES[case].format(d=inputs).split()
     args = cli._build_parser().parse_args(argv)
     payload, ok = args.handler(args)
     expected = json.dumps(
         json.loads(_indented_render(payload)), sort_keys=True, allow_nan=False
     ) + "\n"
+    # --out names an existing file at least as long as the new text.
+    (tmp_path / "out.json").write_bytes(long_doc)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -888,31 +899,9 @@ def test_non_finite_result_exits_2_with_nothing_written(inputs, tmp_path, capsys
 
 # ------------------------------------------------- --out written in place --
 
-@pytest.fixture(scope="module")
-def long_doc(inputs, tmp_path_factory):
-    """The 65536-entry f4s4 bond-2 generator document, as bytes."""
-    path = tmp_path_factory.mktemp("long") / "long.json"
-    argv = PARITY_CASES["build_tl_embedded_f4s4_site2"].format(d=inputs).split()
-    assert main(argv + ["--out", str(path)]) == 0
-    return path.read_bytes()
-
-
 def _payload_text(argv):
     args = cli._build_parser().parse_args(argv)
     return "".join(linalg.iterdumps(args.handler(args)[0])) + "\n"
-
-
-@pytest.mark.parametrize("case", PARITY_CASES)
-def test_out_over_a_long_file_equals_a_fresh_write(case, inputs, long_doc, tmp_path):
-    argv = PARITY_CASES[case].format(d=inputs).split()
-    fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
-    over.write_bytes(long_doc)
-    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-        fresh_code = main(argv + ["--out", str(fresh)])
-        over_code = main(argv + ["--out", str(over)])
-    assert fresh_code == over_code in (0, 1)
-    assert (out.getvalue(), err.getvalue()) == ("", "")
-    assert over.read_bytes() == fresh.read_bytes() == _payload_text(argv).encode()
 
 
 def test_short_long_short_on_one_path(inputs, tmp_path, capsys):
@@ -983,6 +972,30 @@ def test_a_write_that_fails_midway_leaves_only_the_new_prefix(
     path.write_bytes(long_doc)
     assert run(capsys, *argv, "--out", str(path)) == (2, "", "error: write failed\n")
     assert path.read_text() == prefix
+
+
+def test_a_write_the_os_refuses_midway_leaves_only_the_new_prefix(long_doc, tmp_path):
+    # The child may not grow a file past `limit` bytes (RLIMIT_FSIZE), so the
+    # OS writes the first `limit` bytes of the text and then refuses (EFBIG).
+    resource = pytest.importorskip("resource")
+    argv = ["gen", "fourier", "--n", "3"]
+    text = _payload_text(argv).encode()
+    limit = 256
+    assert limit < len(text) < len(long_doc)
+    path = tmp_path / "t.json"
+    path.write_bytes(long_doc)
+    src = str(Path(tlhad.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, tlhad.cli as c; sys.exit(c.main(sys.argv[1:]))",
+         *argv, "--out", str(path)],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert path.read_bytes() == text[:limit]
 
 
 def test_out_to_dev_null_exits_0(capsys):
