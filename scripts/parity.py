@@ -1,0 +1,116 @@
+"""Outputs of one checkout on fixed inputs, recorded exactly, for comparing two checkouts.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/parity.py dump SRC --seeds 7 9 > after.json
+    python3 scripts/parity.py compare before.json after.json
+
+`dump` imports tlhad from the source directory SRC (the `src/` of any
+checkout) and records:
+
+- the loop and braid residuals of verify_tl, as float hex strings, for
+  every tl_chain op of perfbench at each seed and for every BLOCK_CASES
+  entry of tests/test_tlrep.py;
+- the exit code and the sha256 of stdout and of the --out file of every
+  PARITY_CASES command of tests/test_cli.py.
+
+The inputs and cases are those of this checkout. `compare` exits 1 unless
+the two files hold the same keys with equal values.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ("linalg", "hadamard", "master", "tlrep", "baxter", "cli")
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _residuals(report) -> list[str]:
+    return [float(report.loop_residual).hex(), float(report.braid_residual).hex()]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def dump(src: str, seeds: list[int], workdir: Path) -> dict:
+    sys.path.insert(0, str(Path(src).resolve()))
+    import numpy as np
+
+    lib = SimpleNamespace(**{name: importlib.import_module(f"tlhad.{name}") for name in MODULES})
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    cases = {}
+    with np.errstate(all="ignore"):
+        for seed in seeds:
+            ops = WORKLOADS["tl_chain"](lib, np.random.default_rng(seed), workdir)
+            for index, op in enumerate(ops):
+                cases[f"tl_chain/{seed}/{index}/{op.slice}/{op.label}"] = _residuals(op.run())
+        for name, make in sorted(_load(ROOT / "tests" / "test_tlrep.py").BLOCK_CASES.items()):
+            cases[f"block/{name}"] = _residuals(lib.tlrep.verify_tl(make()))
+
+    test_cli = _load(ROOT / "tests" / "test_cli.py")
+    factory = SimpleNamespace(mktemp=lambda name: Path(tempfile.mkdtemp(prefix=name, dir=workdir)))
+    inputs = test_cli.inputs.__wrapped__(factory)
+    for name, argv in sorted(test_cli.PARITY_CASES.items()):
+        argv = argv.format(d=inputs).split()
+        out_path = workdir / f"{name}.out.json"
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = lib.cli.main(argv)
+            out_code = lib.cli.main(argv + ["--out", str(out_path)])
+        cases[f"cli/{name}"] = [code, out_code, _sha256(stdout.getvalue().encode()), _sha256(out_path.read_bytes())]
+    return {"tlhad": lib.tlrep.__file__, "cases": cases}
+
+
+def compare(before: dict, after: dict) -> int:
+    a, b = before["cases"], after["cases"]
+    differ = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    for key in differ:
+        print(f"differs: {key}: {a.get(key)} -> {b.get(key)}")
+    kinds = sorted({key.split("/")[0] for key in a.keys() | b.keys()})
+    counts = ", ".join(f"{sum(k.startswith(kind + '/') for k in a.keys() & b.keys())} {kind}" for kind in kinds)
+    print(f"cases in both: {counts}; {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump")
+    d.add_argument("src")
+    d.add_argument("--seeds", type=int, nargs="+", default=[7, 9])
+    c = sub.add_parser("compare")
+    c.add_argument("before")
+    c.add_argument("after")
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        with open(args.before) as fb, open(args.after) as fa:
+            return compare(json.load(fb), json.load(fa))
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    with tempfile.TemporaryDirectory() as workdir:
+        print(json.dumps(dump(args.src, args.seeds, Path(workdir)), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

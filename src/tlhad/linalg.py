@@ -87,7 +87,7 @@ def _finite_matrix(mat: np.ndarray) -> Matrix:
     """mat itself, once it is checked to be a nonempty 2-D array of finite entries."""
     if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
-    if not (np.isfinite(mat.real).all() and np.isfinite(mat.imag).all()):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     return mat
 
@@ -135,7 +135,7 @@ def dagger(a: Matrix) -> Matrix:
 def max_abs(a: Matrix) -> float:
     """Largest entry magnitude (0.0 for an empty array)."""
     arr = np.asarray(a)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -184,18 +184,20 @@ def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matri
 def inverse(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     """Matrix inverse by LAPACK (numpy.linalg.inv).
 
-    Raises SingularMatrixError when LAPACK meets a zero pivot, or when the
+    a must be a finite square matrix. It is no longer copied first: a
+    complex128 array is checked and read where it lies. Raises
+    SingularMatrixError when LAPACK meets a zero pivot, or when the
     condition estimate max_abs(a) * max_abs(inverse) is not finite or
     reaches 1 / tol. The zero matrix is singular even at tol = 0.
     """
-    a = as_matrix(a)
+    a = _finite_matrix(np.asarray(a, dtype=np.complex128))
     _require_square(a)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
     cond = max_abs(a) * max_abs(inv)
-    if not np.isfinite(cond) or cond * tol >= 1:
+    if not math.isfinite(cond) or cond * tol >= 1:
         raise SingularMatrixError(
             f"matrix is singular at tolerance {tol}: max|A| * max|A^-1| = {cond:.3e}"
         )

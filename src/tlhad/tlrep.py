@@ -23,10 +23,14 @@ and generators on disjoint bonds commute exactly as Kronecker embeddings.
 The site count only selects which relations exist (2: loop; 3: adds braid;
 4 or more: adds commutation, whose residual is identically 0), and the
 checks never form a matrix of size n^sites. verify_tl, which has the
-ansatz data, takes the braid residual in block form from the n x n
-difference powers M^(n_a - n_b): O(n^7) time, no array beyond n^5
-entries. verify_tl_local, which has only a prebuilt T, forms the dense
-n^3 x n^3 three-strand products; it is the reference for the block form.
+ansatz data, builds the table p[x, y] = M^(n_x - n_y) of difference
+powers once and takes the braid residual in block form from it, in
+O(n^7) time. It takes the defects for c = max(1, 4096 // n^5) outer
+indices per step: all of them for n <= 4, one per step from n = 5. So no
+array holds more than max(n^5, 4096) entries, and the peak working
+memory stays under 64 * max(n^5, 4096) bytes. verify_tl_local, which has
+only a prebuilt T, forms the dense n^3 x n^3 three-strand products; it
+is the reference for the block form.
 
 This module builds and embeds the generators, measures the three
 relation residuals, checks the factorized closure condition directly on
@@ -167,38 +171,65 @@ class Master4Check(NamedTuple):
     worst: tuple[int, int, int]
 
 
-def _difference_powers(a: TLAnsatz, tol: float) -> dict[int, Matrix]:
-    """The table {d: M^d} over every exponent difference d = n_x - n_y.
+def _matrix_power(squares: list[Matrix], k: int) -> Matrix:
+    """M^k for k >= 0 by the products numpy.linalg.matrix_power makes, bit for bit.
 
-    Each power comes from numpy.linalg.matrix_power in O(log |d|)
-    products; a negative difference powers linalg.inverse(M, tol), so a
-    singular M raises SingularMatrixError.
+    squares[j] = M^(2^j), given as [M], is extended in place, so the calls
+    for one table share their squarings. Beyond M^2 = M M and
+    M^3 = (M M) M, the result multiplies in M^(2^j) from the lowest set
+    bit of k up.
     """
-    diffs = {ea - eb for ea in a.exponents for eb in a.exponents}
-    minv = linalg.inverse(a.m, tol) if min(diffs) < 0 else None
-    return {d: np.linalg.matrix_power(a.m if d >= 0 else minv, abs(d)) for d in diffs}
+    if k == 0:
+        return np.eye(len(squares[0]), dtype=np.complex128)
+    if k == 3:
+        return _matrix_power(squares, 2) @ squares[0]
+    result = None
+    for j in range(k.bit_length()):
+        if j == len(squares):
+            squares.append(squares[-1] @ squares[-1])
+        if k >> j & 1:
+            result = squares[j] if result is None else result @ squares[j]
+    return result
 
 
-def _assemble_generator(a: TLAnsatz, powers: dict[int, Matrix]) -> Matrix:
-    """sum_{a,b} v_a w_b e_ab (x) M^(n_a - n_b) from the difference powers."""
-    n = a.n
-    out = linalg.zeros(n * n, n * n)
-    for ia, ea in enumerate(a.exponents):
-        for ib, eb in enumerate(a.exponents):
-            out[ia * n : (ia + 1) * n, ib * n : (ib + 1) * n] = (
-                a.v[ia] * a.w[ib] * powers[ea - eb]
-            )
-    return out
+def _difference_powers(m: Matrix, exponents: tuple[int, ...], tol: float) -> np.ndarray:
+    """The (n, n, n, n) table p[x, y] = M^(n_x - n_y).
+
+    Each distinct difference d is powered once, by _matrix_power; a
+    negative d powers linalg.inverse(M, tol), so a singular M raises
+    SingularMatrixError. The table is indexed through a dict keyed by
+    difference: exponents are Python ints of any size, which an integer
+    array could not hold.
+    """
+    n = len(exponents)
+    diffs = [ex - ey for ex in exponents for ey in exponents]
+    slot = {d: i for i, d in enumerate(dict.fromkeys(diffs))}
+    squares = {False: [m]}
+    if min(slot) < 0:
+        squares[True] = [linalg.inverse(m, tol)]
+    stack = np.array([_matrix_power(squares[d < 0], abs(d)) for d in slot])
+    return stack[[slot[d] for d in diffs]].reshape(n, n, n, n)
+
+
+def _assemble_generator(p: np.ndarray, v: Sequence[complex], w: Sequence[complex]) -> Matrix:
+    """sum_{a,b} v_a w_b e_ab (x) M^(n_a - n_b) from the table p[a, b] = M^(n_a - n_b).
+
+    Each v_a w_b is a Python complex product; numpy's vectorised complex
+    multiply may fuse it into one rounding and differ in the last bit.
+    """
+    n = len(v)
+    vw = np.array([[va * wb for wb in w] for va in v])
+    return (vw[:, :, None, None] * p).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def build_local_generator(a: TLAnsatz, tol: float = DEFAULT_TOL) -> Matrix:
     """Assemble sum_{a,b} v_a w_b e_ab (x) M^(n_a - n_b) as an n^2 x n^2 matrix.
 
-    Each distinct power comes from numpy.linalg.matrix_power in O(log d)
-    products; a negative difference powers linalg.inverse(M, tol), so a
-    singular M raises SingularMatrixError.
+    Each distinct power takes the products of numpy.linalg.matrix_power,
+    O(log |d|) of them; a negative difference powers linalg.inverse(M, tol),
+    so a singular M raises SingularMatrixError.
     """
-    return _assemble_generator(a, _difference_powers(a, tol))
+    return _assemble_generator(_difference_powers(a.m, a.exponents, tol), a.v, a.w)
 
 
 def embed(local: Matrix, i: int, sites: int, n: int) -> Matrix:
@@ -247,12 +278,25 @@ def verify_tl_local(t_local: Matrix, nu: complex, sites: int) -> TLReport:
     return TLReport(loop, braid, 0.0, nu)
 
 
-def _braid_residual(a: TLAnsatz, t_local: Matrix, powers: dict[int, Matrix]) -> float:
+#: Entries of the defect products that one step of _braid_residual makes
+#: at most, unless a single outer index alone makes more: n <= 4 takes
+#: every x in one step, n >= 5 one x per step.
+_BATCH_ENTRIES = 4096
+
+
+def _braid_residual(
+    t_local: Matrix,
+    p: np.ndarray,
+    exponents: tuple[int, ...],
+    v: np.ndarray,
+    w: np.ndarray,
+    alpha: complex,
+) -> float:
     """max|T1 T2 T1 - alpha T1| and max|T2 T1 T2 - alpha T2| from n x n blocks.
 
-    With P_xy = M^(n_x - n_y) and r the index of the median exponent (so
-    the differences n_x - n_r stay small), the two defects on three strands
-    (x, y, z) are, entry for entry,
+    With P_xy = M^(n_x - n_y) = p[x, y] and r the index of the median
+    exponent (so the differences n_x - n_r stay small), the two defects on
+    three strands (x, y, z) are, entry for entry,
 
         (x, x') block of T1 T2 T1 - alpha T1 over strand 0
             = v_x w_x' (P_xr (x) I) (K - alpha I) (P_rx' (x) I),
@@ -264,21 +308,14 @@ def _braid_residual(a: TLAnsatz, t_local: Matrix, powers: dict[int, Matrix]) -> 
         S_xx' = sum_{d,c} w_d v_c (P_xx')_dc P_cd.
 
     Both follow from P_xy P_yz = P_xz, so they equal the dense products
-    up to rounding. K and S cost O(n^6); the defects O(n^7), taken one
-    outer index x at a time, so no array holds more than n^5 entries.
+    up to rounding. K and S cost O(n^6); the defects O(n^7). Each step
+    takes c = max(1, _BATCH_ENTRIES // n^5) outer indices x and makes one
+    product and one maximum per defect for all of them, so no array holds
+    more than max(n^5, _BATCH_ENTRIES) entries.
     """
-    n = a.n
-    alpha = a.alpha
-    v = np.asarray(a.v)
-    w = np.asarray(a.w)
+    n = len(v)
     vw = v * w
-    e = a.exponents
-    # p[x, y] = P_xy as an (n, n, n, n) array.
-    p = np.array([[powers[ex - ey] for ey in e] for ex in e])
-    r = sorted(range(n), key=e.__getitem__)[n // 2]
-    # delta[(a, b), (c, d)] = delta_ab delta_cd: the identity in both block layouts.
-    eye = np.eye(n).ravel()
-    delta = np.outer(eye, eye)
+    r = sorted(range(n), key=exponents.__getitem__)[n // 2]
     # left[(x, y), i] = v_x (P_xr)_yi and right[j, (x', y')] = w_x' (P_rx')_jy'.
     left = (v[:, None, None] * p[:, r]).reshape(n * n, n)
     right = (w[:, None, None] * p[r]).transpose(1, 0, 2).reshape(n, n * n)
@@ -291,18 +328,24 @@ def _braid_residual(a: TLAnsatz, t_local: Matrix, powers: dict[int, Matrix]) -> 
     pt = (p[r].reshape(n * n, n) @ tz).reshape(n, n**3, n).transpose(1, 0, 2)
     k = pt.reshape(n**3, n * n) @ (vw[:, None, None] * p[:, r]).reshape(n * n, n)
     del pt  # n^5 entries; each defect block below takes as many again
-    g = k.reshape(n, n**3) - alpha * delta.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n, n**3)
+    diag = np.arange(n)
+    k.reshape(n, n, n, n)[diag[:, None], diag, diag, diag[:, None]] -= alpha  # y = q, z = z'
+    g = k.reshape(n, n**3)
 
     # s[(x, x'), (i, j)] = S_xx'[i, j]; d[x, i, x', j] = D_xx'[i, j].
-    pw = p.reshape(n * n, n * n) * np.outer(w, v).ravel()
+    pw = p.reshape(n * n, n * n) * (w[:, None] * v).ravel()
     s = pw @ p.transpose(1, 0, 2, 3).reshape(n * n, n * n)
-    s = np.outer(v, w).ravel()[:, None] * s - alpha * delta
+    s = (v[:, None] * w).ravel()[:, None] * s
+    s[:: n + 1, :: n + 1] -= alpha  # the rows x = x', the columns i = j
     d = s.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n, n, n * n)
 
+    step = max(1, _BATCH_ENTRIES // n**5)
     worst = []
-    for x in range(n):
-        worst.append(linalg.max_abs((left[x * n : (x + 1) * n] @ g).reshape(n**3, n) @ right))
-        worst.append(linalg.max_abs((left @ d[x]).reshape(n**3, n) @ right))
+    for x in range(0, n, step):
+        t1 = left[x * n : (x + step) * n] @ g
+        t2 = left @ d[x : x + step]
+        worst.append(np.abs(t1.reshape(-1, n) @ right).max())
+        worst.append(np.abs(t2.reshape(-1, n) @ right).max())
     return _worst(*worst)
 
 
@@ -311,21 +354,24 @@ def verify_tl(a: TLAnsatz, tol: float = DEFAULT_TOL) -> TLReport:
 
     The loop residual is max|T^2 - nu T| of the assembled T. The braid
     residual (sites >= 3) comes from the block forms of _braid_residual,
-    built from the n x n difference powers M^d that also assemble T, each
-    computed once: O(n^7) time and O(n^5) memory, where the dense
-    verify_tl_local takes O(n^8) and n^6 on the same T. The two agree up
-    to rounding. The commute residual is exactly 0.
+    built from the table of difference powers M^d that also assembles T,
+    each computed once: O(n^7) time, and a peak working memory under
+    64 * max(n^5, 4096) bytes, where the dense verify_tl_local takes
+    O(n^8) time and n^6 entries on the same T. The two agree up to
+    rounding. The commute residual is exactly 0.
 
     nu in the report is the computed weight overlap alpha (equal to n for
     the plain all-ones weights), never assumed integral. Failures are
     residuals, not errors; tol only governs the internal singularity
     threshold of matrix inversion.
     """
-    powers = _difference_powers(a, tol)
-    t_local = _assemble_generator(a, powers)
+    p = _difference_powers(a.m, a.exponents, tol)
+    t_local = _assemble_generator(p, a.v, a.w)
     nu = a.alpha
     loop = linalg.max_abs(t_local @ t_local - nu * t_local)
-    braid = _braid_residual(a, t_local, powers) if a.sites >= 3 else 0.0
+    braid = 0.0
+    if a.sites >= 3:
+        braid = _braid_residual(t_local, p, a.exponents, np.array(a.v), np.array(a.w), nu)
     return TLReport(loop, braid, 0.0, nu)
 
 
@@ -407,8 +453,8 @@ def reconstruct_m(omega: Matrix, h: Matrix, lambdas: Sequence[complex]) -> Matri
     condition; H = I returns the plain conjugated diagonal. The spectrum
     of the result is exactly `lambdas`.
     """
-    omega = linalg.as_matrix(omega)
-    h = linalg.as_matrix(h)
+    omega = linalg._finite_matrix(np.asarray(omega, dtype=np.complex128))
+    h = linalg._finite_matrix(np.asarray(h, dtype=np.complex128))
     n = linalg._require_square(omega, "master matrix")
     if h.shape != omega.shape:
         raise ValueError(f"shape mismatch: Omega {omega.shape} vs H {h.shape}")

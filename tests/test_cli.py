@@ -244,6 +244,17 @@ class TestCheck:
         assert payload["ok"] is False
         assert payload["braid_residual"] > 0.1
 
+    def test_tl_exponents_beyond_int64(self, capsys, workdir):
+        # The swap matrix has order 2, so M^(10^30) = I exactly.
+        swap = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+        (workdir / "a.json").write_text(json.dumps(ANSATZ | {"m": swap, "exponents": [0, 10**30]}))
+        code, payload = run_json(capsys, "check", "tl", "--ansatz", "a.json")
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["loop_residual"] == 0.0
+        assert payload["braid_residual"] == 2.0
+        assert payload["nu"] == [2.0, 0.0]
+
     def test_hecke_braid_ybe(self, capsys, workdir):
         (workdir / "u2a.json").write_text(
             json.dumps(fixture_u2_ansatz().to_dict())

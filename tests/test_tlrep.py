@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tlhad import linalg
+from tlhad import linalg, tlrep
 from tlhad.hadamard import dephase, f4_family, fourier, is_ghm
 from tlhad.linalg import (
     as_matrix,
@@ -147,6 +147,36 @@ class TestBuildLocalGenerator:
             build_local_generator(TLAnsatz(m, (0, 1)))
 
 
+class TestDifferencePowers:
+    # Differences |d| = 0..5 (and negative) from (0, ..., 5); 17 from (0, 17);
+    # non-contiguous and shuffled exponents; sizes beyond any int64.
+    @pytest.mark.parametrize("exponents", [
+        (0, 1, 2, 3, 4, 5), (0, 17), (0, 4, 9), (9, -2, 4), (3, 3, 0),
+        (0, 2**63), (0, 10**30, -(10**30)),
+    ])
+    def test_each_entry_is_numpys_matrix_power(self, exponents):
+        n = len(exponents)
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+        if max(exponents) - min(exponents) > 17:
+            # A monomial matrix with entries 1, i and -1: every power is
+            # exact, where a random M would overflow.
+            m = np.roll(np.diag([1j, -1, 1][:n]), 1, axis=0)
+        p = tlrep._difference_powers(as_matrix(m), exponents, 1e-9)
+        assert p.shape == (n, n, n, n)
+        minv = inverse(m)
+        for x, ex in enumerate(exponents):
+            for y, ey in enumerate(exponents):
+                d = ex - ey
+                want = np.linalg.matrix_power(m if d >= 0 else minv, abs(d))
+                assert np.array_equal(p[x, y], want), (ex, ey)
+
+    def test_positive_differences_need_no_inverse(self):
+        # (0, 0) has only d = 0, so a singular M is fine.
+        p = tlrep._difference_powers(as_matrix([[1, 0], [0, 0]]), (0, 0), 1e-9)
+        assert np.array_equal(p, np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
+
+
 class TestEmbed:
     def test_two_sites_identity_padding(self):
         a = fixture_u2_ansatz(sites=2)
@@ -259,6 +289,20 @@ ORACLE_CASES = {
 }
 
 
+class TestHugeExponents:
+    # Exponents beyond int64 on the swap matrix (order 2) and the 3-cycle
+    # (order 3): every power is exact, so the report is that of the
+    # exponents reduced modulo the order.
+    @pytest.mark.parametrize("m, exponents, reduced, report", [
+        ([[0, 1], [1, 0]], (0, 2**63), (0, 0), TLReport(0.0, 2.0, 0.0, 2 + 0j)),
+        ([[0, 1], [1, 0]], (0, 10**30), (0, 0), TLReport(0.0, 2.0, 0.0, 2 + 0j)),
+        (np.roll(np.eye(3), 1, axis=0), (2**63, 0, 1), (2, 0, 1), TLReport(0.0, 3.0, 0.0, 3 + 0j)),
+        (np.roll(np.eye(3), 1, axis=0), (-(10**30), 3, 10**30), (2, 0, 1), TLReport(0.0, 3.0, 0.0, 3 + 0j)),
+    ])
+    def test_report_is_that_of_the_reduced_exponents(self, m, exponents, reduced, report):
+        assert verify_tl(TLAnsatz(m, exponents)) == verify_tl(TLAnsatz(m, reduced)) == report
+
+
 class TestVerifyTLAgainstDenseChain:
     # Every cell with 3 <= sites <= 5 and n^sites <= 729; (n, sites) = (4, 5)
     # would take seconds per dense product.
@@ -322,6 +366,17 @@ BLOCK_CASES = {
     "u2": fixture_u2_ansatz,
     "random3": lambda: random_ansatz(3, 21),
     "random5": lambda: random_ansatz(5, 22),
+    # Weighted ansaetze on either side of the batch boundary of the braid
+    # defects (every outer index in one step for n <= 4, one per step from
+    # n = 5): on random M, and on a master M with random weights.
+    **{f"random{n}": (lambda n=n: random_ansatz(n, 30 + n)) for n in (2, 4, 6, 7, 8, 9)},
+    **{
+        f"fourier{n}_weighted": (
+            lambda n=n: random_ansatz(n, 40 + n, spec_ansatz(fourier_master(n), fourier(n)).m)
+        )
+        for n in range(2, 10)
+    },
+    "fourier9": lambda: spec_ansatz(fourier_master(9), fourier(9)),
     # A master M with shuffled, negative exponents and random weights.
     "fourier4_shuffled": lambda: random_ansatz(4, 23, spec_ansatz(fourier_master(4), fourier(4)).m),
     # Exponents negated: still a master spec.
@@ -383,6 +438,18 @@ class TestBlockBraidScale:
         assert report.braid_residual <= 1e-9
         assert report.ok()
         assert peak <= 128 * 2**20
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_peak_memory_within_the_stated_bound(self, n):
+        # The bound of verify_tl's docstring: 64 * max(n^5, 4096) bytes.
+        a = spec_ansatz(fourier_master(n), fourier(n))
+        tracemalloc.start()
+        try:
+            verify_tl(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * max(n**5, 4096)
 
     def test_off_grid_16_fails(self, monkeypatch):
         a = spec_ansatz(off_grid_spec(16), fourier(16))
