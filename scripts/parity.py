@@ -12,7 +12,12 @@ checkout) and records:
   every tl_chain op of perfbench at each seed and for every BLOCK_CASES
   entry of tests/test_tlrep.py;
 - the exit code and the sha256 of stdout and of the --out file of every
-  PARITY_CASES command of tests/test_cli.py.
+  PARITY_CASES command of tests/test_cli.py;
+- the exit code and the sha256 of stdout of each CLI call of every
+  cli_roundtrip op of perfbench at each seed;
+- the exit code, the sha256 of stdout and the stderr text of every
+  USAGE_ERRORS and UNKNOWN_FLAGS row of tests/test_cli.py (help is
+  formatted for COLUMNS=80 unless COLUMNS is set).
 
 The inputs and cases are those of this checkout. `compare` exits 1 unless
 the two files hold the same keys with equal values.
@@ -28,7 +33,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -68,7 +73,26 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
         for name, make in sorted(_load(ROOT / "tests" / "test_tlrep.py").BLOCK_CASES.items()):
             cases[f"block/{name}"] = _residuals(lib.tlrep.verify_tl(make()))
 
+    for seed in seeds:
+        seed_dir = workdir / f"cli_roundtrip{seed}"
+        seed_dir.mkdir()
+        ops = WORKLOADS["cli_roundtrip"](lib, np.random.default_rng(seed), str(seed_dir))
+        for index, op in enumerate(ops):
+            # An op makes one call (code, stdout) or a list of them.
+            calls = op.run()
+            calls = [calls] if isinstance(calls, tuple) else calls
+            cases[f"cli_roundtrip/{seed}/{index}/{op.slice}/{op.label}"] = [
+                [code, _sha256(out.encode())] for code, out in calls
+            ]
+
     test_cli = _load(ROOT / "tests" / "test_cli.py")
+    for kind, rows in (("usage", test_cli.USAGE_ERRORS), ("unknown_flag", test_cli.UNKNOWN_FLAGS)):
+        for name, argv in sorted(rows.items()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = lib.cli.main(argv.split())
+            cases[f"{kind}/{name}"] = [code, _sha256(stdout.getvalue().encode()), stderr.getvalue()]
+
     factory = SimpleNamespace(mktemp=lambda name: Path(tempfile.mkdtemp(prefix=name, dir=workdir)))
     inputs = test_cli.inputs.__wrapped__(factory)
     for name, argv in sorted(test_cli.PARITY_CASES.items()):
@@ -107,6 +131,7 @@ def main(argv=None) -> int:
         with open(args.before) as fb, open(args.after) as fa:
             return compare(json.load(fb), json.load(fa))
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("COLUMNS", "80")
     with tempfile.TemporaryDirectory() as workdir:
         print(json.dumps(dump(args.src, args.seeds, Path(workdir)), indent=1, sort_keys=True))
     return 0

@@ -125,22 +125,24 @@ def dephase(u: Matrix) -> tuple[Matrix, EquivalenceMove]:
 
     Returns (dephased matrix, move) with the move being the one that was
     applied; an already dephased matrix comes back unchanged with the
-    identity move.
+    identity move. The two diagonals are applied by broadcasting, not by
+    matrix products, so the result equals apply_equivalence(u, move) up to
+    rounding. u itself is only read.
     """
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
     n = linalg._require_square(u, "dephase input")
     if np.any(u[:, 0] == 0) or np.any(u[0, :] == 0):
         raise ValueError("dephasing requires nonzero first row and column")
-    left = tuple(complex(1.0 / u[i, 0]) for i in range(n))
-    right = tuple(complex(u[0, 0] / u[0, j]) for j in range(n))
+    left = 1.0 / u[:, 0]
+    right = u[0, 0] / u[0, :]
     idp = tuple(range(n))
-    move = EquivalenceMove(idp, left, right, idp)
-    return apply_equivalence(u, move), move
+    move = EquivalenceMove(idp, tuple(left.tolist()), tuple(right.tolist()), idp)
+    return left[:, None] * u * right, move
 
 
 def chm_residual(u: Matrix) -> float:
     """Worst violation of the CHM conditions |u_ij| = 1 and u u^dagger = n I."""
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
     n = linalg._require_square(u, "CHM input")
     r_mod = float(np.max(np.abs(np.abs(u) - 1.0)))
     r_orto = linalg.max_abs(u @ linalg.dagger(u) - n * linalg.identity(n))
@@ -158,7 +160,7 @@ def ghm_residual(u: Matrix, tol: float = DEFAULT_TOL) -> float:
     Returns inf when u has a zero entry or is singular at tol (either
     makes the defining identity unsatisfiable).
     """
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
     n = linalg._require_square(u, "GHM input")
     if np.any(u == 0):
         return math.inf
@@ -196,7 +198,7 @@ def root_phases(
     if limit < 1:
         raise ValueError("root order limit must be a positive integer")
     phases = []
-    for row in linalg.as_matrix(u).tolist():
+    for row in linalg._finite_matrix(np.asarray(u, dtype=np.complex128)).tolist():
         snapped = []
         for z in row:
             phase = _root_phase(z, limit, tol)

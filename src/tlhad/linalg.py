@@ -79,6 +79,9 @@ def as_matrix(entries) -> Matrix:
 
     The result is a new array, never the caller's. Raises ValueError for
     anything that is not a nonempty 2-D array of finite complex numbers.
+    A type that keeps a matrix copies it here; a function that only reads
+    its matrix checks it where it lies, with
+    _finite_matrix(np.asarray(x, dtype=np.complex128)), and does not copy.
     """
     return _finite_matrix(np.array(entries, dtype=np.complex128))
 

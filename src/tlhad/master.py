@@ -388,7 +388,7 @@ def search_master_representation(
     """
     if exponent_bound <= 0 or root_order_bound <= 0:
         raise ValueError("search bounds must be positive")
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
     n = linalg._require_square(u, "search input")
     ones = np.ones(n, dtype=np.complex128)
     if (

@@ -389,7 +389,7 @@ def check_master4(
     O(n^3) scalars. The worst index is the first maximum in (i, j, u)
     order with u slowest.
     """
-    p = linalg.as_matrix(p)
+    p = linalg._finite_matrix(np.asarray(p, dtype=np.complex128))
     n = linalg._require_square(p, "eigenvector matrix")
     lams = np.asarray(lambdas, dtype=np.complex128)
     if lams.shape != (n,) or len(exponents) != n:

@@ -520,6 +520,22 @@ class TestErrors:
         code, out, err = run(capsys, "check", "chm", "--matrix", "junk.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"a": "\xff"}', "error: 'utf-8' codec can't decode byte 0xff in position 7"),
+            (b"\xef\xbb\xbf{}", "error: malformed JSON in in.json: Unexpected UTF-8 BOM"),
+            # Positions count the characters of the file, a CR included.
+            (b'{\r\n "rows": 1,\r\n}', "double quotes: line 3 column 1 (char 16)"),
+        ],
+        ids=["invalid_utf8", "bom", "crlf"],
+    )
+    def test_input_is_read_as_strict_utf8(self, capsys, workdir, data, message):
+        (workdir / "in.json").write_bytes(data)
+        code, out, err = run(capsys, "check", "chm", "--matrix", "in.json")
+        assert (code, out) == (2, "")
+        assert message in err and err.count("\n") == 1
+
     def test_missing_required_combination(self, capsys, workdir):
         write_matrix("m.json", fixture_u2_ansatz().m)
         code, out, err = run(capsys, "build", "tl-local", "--m", "m.json")
@@ -1126,6 +1142,108 @@ def test_a_flag_the_command_does_not_read_exits_2(capsys, workdir, argv):
     assert (workdir / "out.json").exists()
 
 
+# ------------------------------------------------------------ dispatch --
+
+#: One valid argv tail for each leaf command; parsing it reads no file.
+VALID_FLAGS = {
+    "gen fourier": "--n 3 --ell 2 --out o.json",
+    "gen f4": "--a 1j",
+    "gen f6": "--a 1 --b 1j",
+    "gen dita": "--a a.json --block b1.json --block b2.json",
+    "gen nest": "--stages s.json",
+    "gen h0": "",
+    "gen h1": "--a 1j",
+    "gen fixture-u1": "--out o.json",
+    "gen fixture-u2": "",
+    "gen master-fourier": "--n 5 --ell 2",
+    "gen master-f4": "--k 1 --m 3",
+    "gen master-f6": "--k 2 --r 1 --s 1",
+    "check chm": "--matrix m.json --tol 1e-6",
+    "check ghm": "--matrix m.json",
+    "check butson": "--matrix m.json --q 4",
+    "check master": "--spec s.json",
+    "check master4": "--p p.json --spec s.json --tol 1e-3",
+    "check tl": "--ansatz a.json --sites 4",
+    "check hecke": "--braid b.json",
+    "check braid": "--ansatz a.json",
+    "check ybe": "--braid b.json --samples 5 --seed 3",
+    "check weighted-hadamard": "--omega o.json --v 1,1j --w 1,1j --alpha 2",
+    "build tl-local": "--m m.json --exponents 0,1 --v 1,1 --w 1,1",
+    "build tl-embedded": "--ansatz a.json --sites 4 --site 2",
+    "build braid": "--ansatz a.json --tol 1e-8",
+    "build rmatrix": "--braid b.json",
+    "build reconstruct-m": "--spec s.json --h h.json",
+    "search master-rep": "--matrix m.json --exponent-bound 5 --root-order-bound 7",
+}
+#: Usage errors and help that give the same exit code, stdout and stderr
+#: through main as through the full parser.
+USAGE_ERRORS = {
+    "empty": "",
+    "unknown_verb": "frobnicate",
+    "verb_only": "check",
+    "unknown_target": "check nope",
+    "help": "-h",
+    "verb_help": "check -h",
+    "leaf_help": "check master -h",
+    "missing_required": "check master",
+    "bad_int": "gen fourier --n x",
+}
+#: A flag the command does not take: main names the command in its error.
+UNKNOWN_FLAGS = {
+    "check_master_seed": "check master --spec s.json --seed 3",
+    "gen_fourier_tol": "gen fourier --n 3 --tol 1e-3",
+}
+
+
+def _full_parse(argv):
+    """(exit code, stdout, stderr) of the full three-level parser on a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    return int(exc.value.code) if exc.value.code else 0, out.getvalue(), err.getvalue()
+
+
+def test_every_leaf_is_dispatched():
+    leaves = {" ".join(key) for key in cli._build_parser().leaves}
+    assert leaves == set(LEAVES) == set(VALID_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_FLAGS))
+def test_a_known_command_is_parsed_by_its_leaf_alone(monkeypatch, command):
+    parser = cli._build_parser()
+    leaf = parser.leaves[tuple(command.split())]
+    argv = command.split() + VALID_FLAGS[command].split()
+    seen = []
+
+    def parse_args(args):
+        seen.append(vars(argparse.ArgumentParser.parse_args(leaf, args)))
+        raise SystemExit(0)  # stops main before the handler runs
+
+    monkeypatch.setattr(leaf, "parse_args", parse_args)
+    assert main(argv) == 0
+    full = vars(parser.parse_args(argv))
+    assert (full.pop("verb"), full.pop("target")) == tuple(command.split())
+    assert seen == [full]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_are_those_of_the_full_parser(capsys, argv):
+    assert run(capsys, *argv.split()) == _full_parse(argv.split())
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_FLAGS.values(), ids=UNKNOWN_FLAGS)
+def test_an_unknown_flag_prints_the_usage_of_its_command(capsys, argv):
+    argv = argv.split()
+    code, out, err = run(capsys, *argv)
+    full_code, full_out, full_err = _full_parse(argv)
+    assert (code, out) == (full_code, full_out) == (2, "")
+    unknown = " ".join(argv[-2:])
+    assert full_err.endswith(f"tlhad: error: unrecognized arguments: {unknown}\n")
+    leaf = cli._build_parser().leaves[tuple(argv[:2])]
+    assert err.startswith(leaf.format_usage())
+    assert err.endswith(f"tlhad {' '.join(argv[:2])}: error: unrecognized arguments: {unknown}\n")
+
+
 # -------------------------------------------------------- parser reuse --
 
 class TestParserReuse:
@@ -1144,10 +1262,13 @@ class TestParserReuse:
     def test_one_parser_serves_every_call(self, capsys, workdir):
         main(["gen", "h0"])
         built = cli._build_parser.cache_info().misses
+        leaves = cli._build_parser().leaves
         for argv in (["gen", "h0"], ["gen", "fourier", "--n", "2"], ["frobnicate"]):
             main(argv)
         capsys.readouterr()
         assert cli._build_parser.cache_info().misses == built
+        # The leaf map is built with the parser and kept on it.
+        assert cli._build_parser().leaves is leaves
 
     def test_usage_error_then_valid_call(self, capsys, workdir):
         code, out, err = run(capsys, "check", "chm")

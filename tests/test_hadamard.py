@@ -244,9 +244,35 @@ class TestDephase:
         assert np.allclose(d[:, 0], 1.0)
         np.testing.assert_allclose(apply_equivalence(u, move), d, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_move_it_returns_on_random_ghms(self, seed):
+        # Non-unimodular diagonals keep a GHM a GHM, but not a CHM.
+        rng = np.random.default_rng(seed)
+        a, b = np.exp(2j * math.pi * rng.random(2))
+        base = [
+            fourier(int(rng.integers(1, 9))),
+            f4_family(a * rng.uniform(0.5, 2)),
+            f6_family(a, b),
+            dita(fourier(2), [f4_family(a), f4_family(b)]),
+        ][seed % 4]
+        n = base.shape[0]
+        move = EquivalenceMove(
+            tuple(rng.permutation(n).tolist()),
+            tuple(random_unimodular(rng, n) * rng.uniform(0.5, 2, n)),
+            tuple(random_unimodular(rng, n) * rng.uniform(0.5, 2, n)),
+            tuple(rng.permutation(n).tolist()),
+        )
+        u = apply_equivalence(base, move)
+        d, applied = dephase(u)
+        assert applied.left_perm == applied.right_perm == tuple(range(n))
+        assert applied.left_diag == tuple(complex(1 / z) for z in u[:, 0])
+        assert applied.right_diag == tuple(complex(u[0, 0] / z) for z in u[0, :])
+        np.testing.assert_allclose(apply_equivalence(u, applied), d, rtol=0, atol=1e-13)
+        assert is_ghm(d).is_ghm
+
     def test_already_dephased_fixed_point(self):
         d, move = dephase(fourier(3))
-        np.testing.assert_allclose(d, fourier(3), rtol=0, atol=1e-15)
+        assert np.array_equal(d, fourier(3))
         assert move.left_perm == (0, 1, 2) and move.right_perm == (0, 1, 2)
 
     def test_preserves_ghm_verdict(self):

@@ -5,6 +5,7 @@ import cmath
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,15 @@ from hypothesis.extra import numpy as hnp
 
 import tlhad
 from tlhad import linalg
-from tlhad.hadamard import f4_family, f6_family, fourier
-from tlhad.master import f4_master, f6_master, fourier_master, master_matrix
-from tlhad.tlrep import TLAnsatz, build_local_generator, embed, reconstruct_m
+from tlhad.hadamard import chm_residual, dephase, f4_family, f6_family, fourier, ghm_residual, root_phases
+from tlhad.master import (
+    f4_master,
+    f6_master,
+    fourier_master,
+    master_matrix,
+    search_master_representation,
+)
+from tlhad.tlrep import TLAnsatz, build_local_generator, check_master4, embed, reconstruct_m
 from tlhad.linalg import (
     SingularMatrixError,
     as_matrix,
@@ -58,6 +65,45 @@ class TestAsMatrix:
             as_matrix([[1.0, math.inf], [0.0, 1.0]])
         with pytest.raises(ValueError):
             as_matrix([[complex(0, math.nan)]])
+
+
+#: The functions that only read their matrix, each called on a 3x3 input.
+_F3 = fourier_master(3)
+READERS = {
+    "ghm_residual": ghm_residual,
+    "chm_residual": chm_residual,
+    "root_phases": lambda u: root_phases(u, 12),
+    "dephase": dephase,
+    "search_master_representation": lambda u: search_master_representation(u, 12, 12),
+    "check_master4": lambda p: check_master4(p, _F3.lambdas, _F3.exponents),
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+class TestReadOnlyInputs:
+    """A function that only reads its matrix checks it where it lies."""
+
+    def test_write_protected_input_is_read_and_left_as_it_was(self, read):
+        u = fourier(3) * np.exp(1j * np.arange(3))[:, None]
+        u.setflags(write=False)
+        before = u.tobytes()
+        read(u)
+        assert u.tobytes() == before and not u.flags.writeable
+
+    def test_nested_lists_read_as_the_array(self, read):
+        u = fourier(3) * np.exp(1j * np.arange(3))
+        assert repr(read(u.tolist())) == repr(read(u))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1, 2], [3]], [[1, math.nan, 1]] * 3, [1, 1j, -1]],
+        ids=["ragged_list", "nan_entry", "one_dimensional"],
+    )
+    def test_malformed_input_raises_the_as_matrix_error(self, read, bad):
+        with pytest.raises(ValueError) as expected:
+            as_matrix(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            read(bad)
 
 
 class TestConstructors:
