@@ -15,12 +15,16 @@ checkout) and records:
   PARITY_CASES command of tests/test_cli.py;
 - the exit code and the sha256 of stdout of each CLI call of every
   cli_roundtrip op of perfbench at each seed;
+- the spectral_worst of each `check ybe` document above, as a float hex
+  string, under its own key; the document's hash is taken without it;
 - the exit code, the sha256 of stdout and the stderr text of every
   USAGE_ERRORS and UNKNOWN_FLAGS row of tests/test_cli.py (help is
   formatted for COLUMNS=80 unless COLUMNS is set).
 
 The inputs and cases are those of this checkout. `compare` exits 1 unless
-the two files hold the same keys with equal values.
+the two files hold the same keys with equal values. spectral_worst may
+move within the rounding floor of its sum, so `compare` reports its
+largest distance in ulps instead of failing on it.
 """
 from __future__ import annotations
 
@@ -30,7 +34,10 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
+import re
+import struct
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -54,6 +61,29 @@ def _residuals(report) -> list[str]:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _document(text: str, cases: dict, key: str) -> str:
+    """sha256 of a CLI document; a `check ybe` one's spectral_worst is blanked, and filed under ybe/<key>."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and doc.get("check") == "ybe" and "spectral_worst" in doc:
+        cases[f"ybe/{key}"] = float(doc["spectral_worst"]).hex()
+        text = re.sub(r'("spectral_worst": )[^,}\s]+', r"\1_", text, count=1)
+    return _sha256(text.encode())
+
+
+def _ulps(a: str, b: str) -> float:
+    """Doubles from a to b, two non-negative float hex strings; inf if they differ and one is not finite."""
+    x, y = float.fromhex(a), float.fromhex(b)
+    if a == b:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    # Non-negative doubles are ordered as their bit patterns.
+    return float(abs(struct.unpack("<q", struct.pack("<d", x))[0] - struct.unpack("<q", struct.pack("<d", y))[0]))
 
 
 def dump(src: str, seeds: list[int], workdir: Path) -> dict:
@@ -81,8 +111,9 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
             # An op makes one call (code, stdout) or a list of them.
             calls = op.run()
             calls = [calls] if isinstance(calls, tuple) else calls
-            cases[f"cli_roundtrip/{seed}/{index}/{op.slice}/{op.label}"] = [
-                [code, _sha256(out.encode())] for code, out in calls
+            key = f"{seed}/{index}/{op.slice}/{op.label}"
+            cases[f"cli_roundtrip/{key}"] = [
+                [code, _document(out, cases, f"{key}/{call}")] for call, (code, out) in enumerate(calls)
             ]
 
     test_cli = _load(ROOT / "tests" / "test_cli.py")
@@ -102,13 +133,26 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
         with redirect_stdout(stdout):
             code = lib.cli.main(argv)
             out_code = lib.cli.main(argv + ["--out", str(out_path)])
-        cases[f"cli/{name}"] = [code, out_code, _sha256(stdout.getvalue().encode()), _sha256(out_path.read_bytes())]
+        cases[f"cli/{name}"] = [
+            code,
+            out_code,
+            _document(stdout.getvalue(), cases, f"cli/{name}/stdout"),
+            _document(out_path.read_text(encoding="utf-8"), cases, f"cli/{name}/out"),
+        ]
     return {"tlhad": lib.tlrep.__file__, "cases": cases}
 
 
 def compare(before: dict, after: dict) -> int:
     a, b = before["cases"], after["cases"]
-    differ = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    spectral = sorted(key for key in a.keys() & b.keys() if key.startswith("ybe/"))
+    if spectral:
+        far = max(spectral, key=lambda key: _ulps(a[key], b[key]))
+        moved = sum(a[key] != b[key] for key in spectral)
+        print(
+            f"spectral_worst: {moved} of {len(spectral)} moved; largest distance "
+            f"{_ulps(a[far], b[far]):.0f} ulp at {far}: {float.fromhex(a[far])!r} -> {float.fromhex(b[far])!r}"
+        )
+    differ = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key) and key not in spectral)
     for key in differ:
         print(f"differs: {key}: {a.get(key)} -> {b.get(key)}")
     kinds = sorted({key.split("/")[0] for key in a.keys() | b.keys()})

@@ -29,10 +29,13 @@ mirror image. This is exact for any invertible R_check, Hecke or not, and
 D_+++ is the constant braid defect, so check_braid needs the stack (R,)
 alone and no inverse. The kernel builds the D_abc of a stack of m
 operators one strand-0 column block at a time, from seeds that are
-Kronecker products with the identity: four batched matrix products per
-block, and no array beyond O(m^3 n^5) entries. The spectral check takes
-the eight differences once per block, and every sample is a linear
-combination of them.
+Kronecker products with the identity, in a workspace of (m^3 + 2 m) n^5
+entries and O(m n^4) more: 12 n^5 for the spectral check, 3 n^5 for
+check_braid. The spectral check takes the eight differences once per
+block, and every sample is a linear combination of them. Each entry's
+residual is at most B = sum_abc max_s |u^(a+b) w^(b+c)| |D_abc|, so the
+samples are evaluated only at the entries whose B can reach the
+running maximum, and the maximum is that of every entry.
 """
 from __future__ import annotations
 
@@ -139,50 +142,66 @@ def hecke_residual(b: BraidData) -> float:
     return linalg.max_abs((b.r_check - b.q * eye) @ (b.r_check + (1 / b.q) * eye))
 
 
-def _workspace(m: int, n: int) -> np.ndarray:
-    """Buffer for _mirror_words on a stack of m operators: (2 m^3 + m^2) n^5 entries."""
-    return np.empty((2 * m**3 + m**2) * n**5, dtype=np.complex128)
+def _workspace(ops: np.ndarray) -> np.ndarray:
+    """Buffer for _mirror_words on the stack ops of m operators: (m^3 + 2 m) n^5 + m n^4 entries.
+
+    The first m^3 n^5 entries take the words, the next 2 m n^5 are
+    scratch, and the last m n^4 hold the copy of ops, transposed for the
+    left side's middle products, that every block reads.
+    """
+    m, dim = ops.shape[:2]
+    n = math.isqrt(dim)
+    work = np.empty((m**3 + 2 * m) * n**5 + m * n**4, dtype=np.complex128)
+    b_t = work[(m**3 + 2 * m) * n**5 :].reshape(m, n, n, n, n)
+    np.copyto(b_t, ops.reshape(m, n, n, n, n).transpose(0, 1, 2, 4, 3))
+    return work
 
 
 def _mirror_words(ops: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
     """The m^3 mirror differences D_abc = A12 B23 C12 - C23 B12 A23 on columns (k, ., .).
 
-    ops is a stack of m two-strand operators, shape (m, n^2, n^2), and
-    A, B, C = ops[a], ops[b], ops[c]. The result has shape
-    (m, m, m, n^3, n^2): rows (i, j, l) of the three strands, columns
-    (j', l') of strand-0 column index k. The seeds are the column blocks
-    C12 = C[:, k n:(k+1) n] (x) I and A23 = e_k (x) A, so each middle
-    product has inner dimension n; then one outer product per side. Each
-    product is one batched matmul whose slice for (a, b, c) has the same
-    shape whatever m is, so D_abc does not depend on the rest of the
-    stack. The result is a view of work (default: a new _workspace),
-    whose later entries are scratch, free once this returns.
+    ops is a stack of m = 1 or 2 two-strand operators, shape
+    (m, n^2, n^2), and A, B, C = ops[a], ops[b], ops[c]. The result has
+    shape (m, m, m, n^3, n^2): rows (i, j, l) of the three strands,
+    columns (j', l') of strand-0 column index k. The seeds are the column
+    blocks C12 = C[:, k n:(k+1) n] (x) I and A23 = e_k (x) A, so each
+    middle product has inner dimension n; then one outer product per
+    side. The left side's m^2 middle products go through D, which its
+    outer products then fill; the right side's are made one b at a time,
+    and their outer products one (b, c) at a time, each subtracted from D
+    at once. Each product's slice for (a, b, c) has the same shape
+    whatever m is, so D_abc does not depend on the rest of the stack. The
+    result is a view of work (default: a new _workspace(ops)), whose
+    2 m n^5 entries after it are scratch, free once this returns.
     """
     m, dim = ops.shape[:2]
     n = math.isqrt(dim)
     if work is None:
-        work = _workspace(m, n)
-    size, mid_size = m**3 * n**5, m**2 * n**5
-    lhs, rhs, mid = work[:size], work[size : 2 * size], work[2 * size : 2 * size + mid_size]
-    # A middle product lands at the front of lhs, then is copied into mid
-    # with the outer factor's two strands as its rows.
-    prod, mid7, mid4 = lhs[:mid_size], mid.reshape((m, m) + (n,) * 5), mid.reshape(1, m, m, n * n, n**3)
+        work = _workspace(ops)
+    size, half = m**3 * n**5, m * n**5
+    diff, scratch = work[:size], work[size : size + 2 * half]
+    b_t = work[size + 2 * half :].reshape(m, 1, n**3, n)
     cols = ops[:, :, k * n : (k + 1) * n]
-    # Right side: B12 A23 at [b, a, i, j, l, j', l'], then C23.
-    np.matmul(cols[:, None], ops.reshape(1, m, n, n**3), out=prod.reshape(m, m, n * n, n**3))
-    np.copyto(mid7, prod.reshape(mid7.shape).transpose(0, 1, 3, 4, 2, 5, 6))
-    np.matmul(ops[:, None, None], mid4, out=rhs.reshape(m, m, m, n * n, n**3))
-    # Left side: B23 C12 at [b, c, j, l, l', i, j'], then A12.
-    b_t = ops.reshape(m, n, n, n, n).transpose(0, 1, 2, 4, 3).reshape(m, 1, n**3, n)
-    c_t = cols.reshape(m, n, n, n).transpose(0, 2, 1, 3).reshape(1, m, n, n * n)
-    np.matmul(b_t, c_t, out=prod.reshape(m, m, n**3, n * n))
-    np.copyto(mid7, prod.reshape(mid7.shape).transpose(0, 1, 5, 2, 3, 6, 4))
-    np.matmul(ops[:, None, None], mid4, out=lhs.reshape(m, m, m, n * n, n**3))
-    # lhs is [a, b, c, i, j, l, j', l'] and rhs is [c, b, a, j, l, i, j', l'].
-    shape = (m,) * 3 + (n,) * 5
-    diff = lhs.reshape(shape)
-    diff -= rhs.reshape(shape).transpose(2, 1, 0, 5, 3, 4, 6, 7)
-    return lhs.reshape(m, m, m, n**3, n * n)
+    c_t = cols.reshape(m, n, n, n).transpose(0, 2, 1, 3).reshape(m, n, n * n)
+    # Left side: B23 C12 at [b, c, j, l, l', i, j'], copied into the
+    # scratch as [b, c, i, j, l, j', l'], then A12.
+    lhs = (m, m) + (n,) * 5
+    middle, mid = diff[: m * half], scratch[: m * half]
+    np.matmul(b_t, c_t, out=middle.reshape(m, m, n**3, n * n))
+    np.copyto(mid.reshape(lhs), middle.reshape(lhs).transpose(0, 1, 5, 2, 3, 6, 4))
+    np.matmul(ops[:, None, None], mid.reshape(1, m, m, n * n, n**3), out=diff.reshape(m, m, m, n * n, n**3))
+    # Right side: B12 A23 at [a, i, j, l, j', l'], copied as
+    # [a, j, l, i, j', l'], then C23, subtracted from D as [a, i, j, l, j', l'].
+    rhs = (m,) + (n,) * 5
+    words, prod, mid = diff.reshape((m,) * 3 + (n,) * 5), scratch[:half], scratch[half:]
+    prod3, mid3 = prod.reshape(m, n * n, n**3), mid.reshape(m, n * n, n**3)
+    for b in range(m):
+        np.matmul(cols[b], ops.reshape(m, n, n**3), out=prod3)
+        np.copyto(mid.reshape(rhs), prod.reshape(rhs).transpose(0, 2, 3, 1, 4, 5))
+        for c in range(m):
+            np.matmul(ops[c], mid3, out=prod3)
+            words[:, b, c] -= prod.reshape(rhs).transpose(0, 3, 1, 2, 4, 5)
+    return diff.reshape(m, m, m, n**3, n * n)
 
 
 def _braid_block(words: np.ndarray, work: np.ndarray) -> float:
@@ -203,7 +222,7 @@ def check_braid(r_check: Matrix, n: int | None = None) -> float:
     n = linalg.local_dim(r_check, "braid generator", n)
     # A fresh C-ordered stack, as in ybe_residuals, so the products match.
     ops = np.stack((r_check,))
-    work = _workspace(1, n)
+    work = _workspace(ops)
     return float(np.max([_braid_block(_mirror_words(ops, k, work), work) for k in range(n)]))
 
 
@@ -220,6 +239,8 @@ def spectral_samples(count: int = 20, seed: int = 42) -> list[tuple[complex, com
     """Deterministic (u, w) pairs: exp(z) with z uniform in the box [-1, 1]^2."""
     if count < 1:
         raise ValueError("sample count must be positive")
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative; a sample seed must be >= 0")
     rng = np.random.default_rng(seed)
     box = rng.uniform(-1.0, 1.0, size=(count, 4))
     return [
@@ -235,6 +256,21 @@ class YbeResiduals(NamedTuple):
     spectral: float
 
 
+#: Widens the bound of ybe_residuals past the rounding of the sums it bounds.
+_SLACK = 1 + 64 * np.finfo(np.float64).eps
+
+
+def _worst_residual(monomials: np.ndarray, cols: np.ndarray, out: np.ndarray, worst):
+    """max(worst, max |monomials @ cols|), NaN if any is NaN, with the products in the floats out."""
+    rows = out.size // (3 * cols.shape[1])
+    for lo in range(0, len(monomials), rows):
+        coef = monomials[lo : lo + rows]
+        entries = len(coef) * cols.shape[1]
+        prod = np.matmul(coef, cols, out=out[: 2 * entries].view(np.complex128).reshape(len(coef), -1))
+        worst = np.abs(prod, out=out[2 * entries : 3 * entries].reshape(prod.shape)).max(initial=worst)
+    return worst
+
+
 def ybe_residuals(
     b: BraidData,
     samples: list[tuple[complex, complex]] | None = None,
@@ -244,17 +280,26 @@ def ybe_residuals(
 ) -> YbeResiduals:
     """Constant braid residual and worst spectral Yang-Baxter residual.
 
-    The spectral defect is sum u^(a+b) w^(b+c) D_abc over the eight
-    mirror differences of the module docstring, built from R_check and
-    its one inverse whatever the number of samples (default:
-    spectral_samples(count, seed)), one strand-0 column block at a time.
-    Each block's D_abc are one _mirror_words call, and the samples are a
-    (samples x 8) @ (8 x n^5) product on them. Every word is linear in
-    its seed's columns, so the blockwise maxima are exact. D_+++ is the
-    braid defect, and its slices are the same products as in
-    check_braid, so the braid residual is check_braid's to the bit. A
-    non-finite residual at any sample makes the spectral result
-    non-finite.
+    The spectral defect E at sample (u, w) is sum u^(a+b) w^(b+c) D_abc
+    over the eight mirror differences of the module docstring, built
+    from R_check and its one inverse whatever the number of samples
+    (default: spectral_samples(count, seed)), one strand-0 column block
+    at a time in a workspace of 12 n^5 entries: the block's D_abc and
+    4 n^5 of scratch. Every word is linear in its seed's columns, so the
+    blockwise maxima are exact. D_+++ is the braid defect, made by the
+    same products as in check_braid, so the braid residual is
+    check_braid's to the bit.
+
+    One magnitude pass over a block gives max |D_+++| and the bound
+    B = sum_abc reach_abc |D_abc| >= |E| of every entry, with reach_abc
+    the largest |u^(a+b) w^(b+c)| of the samples. The samples are
+    evaluated at the entry of largest B, then only at the entries whose
+    B, widened past rounding, is not below the running maximum. An entry
+    that holds the maximum is never skipped, so the result is the
+    unpruned one up to the rounding of each entry's sum. An entry with a
+    NaN bound has a NaN residual and is evaluated first, and a finite
+    bound means finite sums, so a non-finite residual at any sample
+    makes the spectral result non-finite.
     """
     if samples is None:
         samples = spectral_samples(count, seed)
@@ -264,12 +309,16 @@ def ybe_residuals(
         raise ValueError("spectral parameters must be nonzero")
     n = b.local_dim
     ops = np.stack((b.r_check, -linalg.inverse(b.r_check, tol)))
-    work = _workspace(2, n)
-    # After each kernel call its scratch holds the products of eight
-    # samples and their magnitudes.
-    size = 8 * n**5
-    prod = work[size : 2 * size].reshape(8, -1)
-    mag = work[2 * size :].view(np.float64).reshape(8, -1)
+    work = _workspace(ops)
+    size, chunk = n**5, n**4
+    # The kernel's 4 n^5 free entries, as floats: the bound B of every
+    # entry, then the magnitudes it is made from, or, for one chunk of
+    # entries at a time, which are kept, their gathered words, and their
+    # residuals at the samples.
+    scratch = work[8 * size : 12 * size].view(np.float64)
+    bound, mag, part = scratch[:size], scratch[size : 5 * size].reshape(4, size), scratch[5 * size : 6 * size]
+    flag_floats = -(-chunk // 8)
+    flags, rest = scratch[size : size + flag_floats].view(np.bool_)[:chunk], scratch[size + flag_floats :]
     signs = (1, -1)
     with np.errstate(all="ignore"):
         pu = {2: u * u, 0: np.ones_like(u), -2: 1 / (u * u)}
@@ -278,18 +327,33 @@ def ybe_residuals(
         monomials = np.stack(
             [pu[a + bb] * pw[bb + c] for a in signs for bb in signs for c in signs], axis=1
         )
-        worst = np.zeros(len(u))
+        reach = np.abs(monomials).max(axis=0, initial=0.0)[:, None] * _SLACK
+        worst = 0.0
         braid = np.empty(n)
         for k in range(n):
-            words = _mirror_words(ops, k, work)
-            braid[k] = _braid_block(words, work)
-            for lo in range(0, len(u), 8):
-                hi = min(lo + 8, len(u))
-                np.matmul(monomials[lo:hi], words.reshape(8, -1), out=prod[: hi - lo])
-                block = np.abs(prod[: hi - lo], out=mag[: hi - lo]).max(axis=1)
-                np.maximum(worst[lo:hi], block, out=worst[lo:hi])
-        spectral = float(worst.max()) if len(worst) else 0.0
-    return YbeResiduals(float(braid.max()), spectral)
+            d = _mirror_words(ops, k, work).reshape(8, size)
+            np.abs(d[:4], out=mag)
+            braid[k] = mag[0].max()
+            np.add.reduce(np.multiply(mag, reach[:4], out=mag), axis=0, out=bound)
+            np.abs(d[4:], out=mag)
+            np.add.reduce(np.multiply(mag, reach[4:], out=mag), axis=0, out=part)
+            bound += part
+            # argmax takes a NaN bound first, and its entry's residual is NaN.
+            worst = np.abs(monomials @ d[:, bound.argmax()]).max(initial=worst)
+            for lo in range(0, size, chunk):
+                kept = np.count_nonzero(np.greater_equal(bound[lo : lo + chunk], worst, out=flags))
+                if 2 * kept > chunk:
+                    # Past half a chunk, a copy would cost more than the products it
+                    # saves, and at n <= 2 it would not fit in the scratch.
+                    worst = _worst_residual(monomials, d[:, lo : lo + chunk], rest, worst)
+                elif kept:
+                    index = np.flatnonzero(flags)
+                    index += lo
+                    # d is C-ordered, so take copies no operand; its default mode copies out.
+                    gathered = rest[: 16 * kept].view(np.complex128).reshape(8, kept)
+                    np.take(d, index, axis=1, out=gathered, mode="clip")
+                    worst = _worst_residual(monomials, gathered, rest[16 * kept :], worst)
+    return YbeResiduals(float(braid.max()), float(worst))
 
 
 def check_spectral_ybe(

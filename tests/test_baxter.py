@@ -132,6 +132,27 @@ def dense_mirror_difference(a, b, c, n):
     return lhs - rhs
 
 
+def spectral_monomials(samples):
+    """(samples x 8) coefficients u^(a+b) w^(b+c), columns (a, b, c) in _mirror_words' order."""
+    u, w = np.array(samples, dtype=np.complex128).reshape(-1, 2).T
+    signs = (1, -1)
+    with np.errstate(all="ignore"):
+        return np.stack([u ** (a + b) * w ** (b + c) for a in signs for b in signs for c in signs], axis=1)
+
+
+def unpruned_spectral(samples, blocks):
+    """Worst sample residual over every entry of the (8, n^5) word blocks, NaN if any is NaN."""
+    mono = spectral_monomials(samples)
+    with np.errstate(all="ignore"):
+        return float(np.max([np.abs(mono @ d).max(initial=0.0) for d in blocks]))
+
+
+def mirror_word_blocks(b):
+    """Every block of _mirror_words on (R, -R^-1), as (8, n^5) arrays."""
+    ops = np.stack((b.r_check, -inverse(b.r_check)))
+    return [baxter._mirror_words(ops, k).reshape(8, -1).copy() for k in range(b.local_dim)]
+
+
 def peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -274,6 +295,10 @@ class TestSpectralSamples:
 
     def test_count(self):
         assert len(spectral_samples(7)) == 7
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            spectral_samples(5, seed=-1)
 
     def test_values_plausible(self):
         for u, w in spectral_samples(20):
@@ -491,6 +516,101 @@ class TestMirrorWordsMemory:
         b = braid_from_spec(6)
         samples = spectral_samples(20, 42)
         assert peak_bytes(lambda: ybe_residuals(b, samples)) <= 3.45e6
+
+
+class TestPrunedSamples:
+    """ybe_residuals evaluates the samples only at entries whose bound can reach the maximum."""
+
+    @pytest.mark.parametrize("count", [1, 8, 9, 100])
+    @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
+    def test_equals_the_unpruned_evaluation(self, case, count):
+        b = ORACLE_BRAIDS[case]()
+        samples = spectral_samples(count, 42)
+        got = ybe_residuals(b, samples).spectral
+        full = unpruned_spectral(samples, mirror_word_blocks(b))
+        assert abs(got - full) <= 1e-9 * full + oracle_floor(b, samples)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_peak_memory_is_twelve_words_per_entry(self, n):
+        # The block's eight words and 4 n^5 of scratch, 12 n^5 entries (the
+        # earlier kernel took 20 n^5); beyond them, R and -R^-1, their
+        # transposed copy and a gather's index (5 n^4), and one numpy ufunc
+        # buffer.
+        b = braid_from_spec(n)
+        samples = spectral_samples(20, 42)
+        bound = 16 * (12 * n**5 + 5 * n**4) + 16 * np.getbufsize() + 2**14
+        assert peak_bytes(lambda: ybe_residuals(b, samples)) <= bound
+
+    #: Entries of the two (8, 32) blocks of n = 2 words: LARGE sets the
+    #: maximum in block 0, TINY is in block 1, and every other entry is small.
+    LARGE, TINY = 5, 17
+
+    @staticmethod
+    def crafted_blocks(large, tiny):
+        rng = np.random.default_rng(61)
+        blocks = [1e-3 * (rng.normal(size=(8, 32)) + 1j * rng.normal(size=(8, 32))) for _ in range(2)]
+        blocks[0][:, TestPrunedSamples.LARGE] = large
+        blocks[1][:, TestPrunedSamples.TINY] = tiny
+        return blocks
+
+    @pytest.mark.parametrize(
+        "large, tiny, sample, expect",
+        [
+            # The NaN word leaves a finite part of the bound far below the maximum.
+            (1e3, [1e-3, 1e-3, 1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3], (2.0, 0.5), "nan"),
+            # The maximum overflows to inf first, and the NaN entry must still count.
+            (1e307, [1e-3, 1e-3, 1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3], (2.0, 0.5), "nan"),
+            (1e307, 1e-3, (2.0, 0.5), "inf"),
+            # u^-2 overflows: the words it multiplies are zero at TINY, so
+            # its residual there is inf * 0 while its bound is small elsewhere.
+            (1e3, [1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 0, 0], (1e-200, 1.0), "nan"),
+        ],
+        ids=["nan_word", "nan_after_overflow", "overflow", "overflowing_sample"],
+    )
+    def test_a_non_finite_entry_is_never_pruned(self, monkeypatch, large, tiny, sample, expect):
+        blocks = self.crafted_blocks(large, tiny)
+
+        def crafted_kernel(ops, k, work):
+            words = work[: blocks[k].size].reshape(2, 2, 2, 8, 4)
+            words.reshape(8, -1)[...] = blocks[k]
+            return words
+
+        samples = spectral_samples(8, 42) + [sample]
+        full = unpruned_spectral(samples, blocks)
+        monkeypatch.setattr(baxter, "_mirror_words", crafted_kernel)
+        got = ybe_residuals(braid_from_spec(2), samples).spectral
+        assert {"nan": math.isnan, "inf": math.isinf}[expect](full)
+        assert (math.isnan(got), math.isinf(got)) == (math.isnan(full), math.isinf(full))
+
+    def test_the_nan_entry_would_be_pruned_by_its_finite_terms(self):
+        # The case "nan_word" above: without the NaN word, TINY's bound is
+        # below the residual at LARGE, so only a kept NaN bound evaluates it.
+        samples = spectral_samples(8, 42) + [(2.0, 0.5)]
+        reach = np.abs(spectral_monomials(samples)).max(axis=0)
+        blocks = self.crafted_blocks(1e3, 1e-3)
+        finite_terms = reach * np.abs(blocks[1][:, self.TINY])
+        assert finite_terms.sum() - finite_terms[3] < unpruned_spectral(samples, blocks[:1])
+
+    def test_the_entry_of_largest_bound_need_not_hold_the_maximum(self, monkeypatch):
+        # In block 0, the word (-, -, +) alone gives one entry its maximum
+        # residual, equal to its bound. At LARGE the two u^0 w^0 words nearly
+        # cancel: a bound near 200, and a residual 5% below that maximum.
+        samples = spectral_samples(9, 42)
+        maximum = 10 * np.abs(spectral_monomials(samples)[:, 6]).max()
+        blocks = self.crafted_blocks([0, 0, 100, 0, 0, 0.95 * maximum - 100, 0, 0], 1e-3)
+        blocks[0][:, 2 * self.LARGE] = [0, 0, 0, 0, 0, 0, 10, 0]
+        monkeypatch.setattr(baxter, "_mirror_words", lambda ops, k, work: blocks[k].reshape(2, 2, 2, 8, 4))
+        assert ybe_residuals(braid_from_spec(2), samples).spectral == pytest.approx(maximum, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_blocks(self, n):
+        # n = 1 leaves 4 complex entries of scratch, n = 2 has two chunks per block.
+        b = BraidData(1j, 3, [[2 + 1j]]) if n == 1 else random_braid(2, 5)
+        for count in (1, 20):
+            samples = spectral_samples(count, 7)
+            full = unpruned_spectral(samples, mirror_word_blocks(b))
+            got = ybe_residuals(b, samples).spectral
+            assert abs(got - full) <= 1e-9 * full + oracle_floor(b, samples)
 
 
 class TestPlainYbe:

@@ -618,6 +618,7 @@ class TestErrors:
                 "need 2 entries",
             ),
             (["check", "ybe", *HUGE_SAMPLES, "--ansatz"], ANSATZ, "out of memory"),
+            (["check", "ybe", "--seed", "-1", "--ansatz"], ANSATZ, "seed -1"),
             # gen reads no file; in.json is the --out path, left as written.
             ([*HUGE_FOURIER, "--out"], {}, "out of memory"),
             # Powers of order 10^200 overflow the braid products: a NaN residual.
@@ -637,7 +638,7 @@ class TestErrors:
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
             "bool_entry", "master_power_overflow", "master4_power_overflow",
             "master4_power_underflow", "generator_power_overflow", "weight_length_mismatch",
-            "spectral_samples_memory", "fourier_size_memory", "tl_nan_braid_10_200",
+            "spectral_samples_memory", "negative_seed", "fourier_size_memory", "tl_nan_braid_10_200",
             "tl_nan_braid_10_160", "tl_nan_braid_2_600",
         ],
     )
