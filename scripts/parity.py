@@ -23,8 +23,11 @@ checkout) and records:
 
 The inputs and cases are those of this checkout. `compare` exits 1 unless
 the two files hold the same keys with equal values. spectral_worst may
-move within the rounding floor of its sum, so `compare` reports its
-largest distance in ulps instead of failing on it.
+move without a change of verdict (within the rounding floor of its sum,
+or by a factor where `check ybe` takes its value from the Hecke bounds),
+so `compare` reports, instead of failing on it, its largest distance in
+ulps and the smallest and largest ratio after/before, each with the case
+that sets it.
 """
 from __future__ import annotations
 
@@ -152,6 +155,17 @@ def compare(before: dict, after: dict) -> int:
             f"spectral_worst: {moved} of {len(spectral)} moved; largest distance "
             f"{_ulps(a[far], b[far]):.0f} ulp at {far}: {float.fromhex(a[far])!r} -> {float.fromhex(b[far])!r}"
         )
+        ratios = {}
+        for key in spectral:
+            x, y = float.fromhex(a[key]), float.fromhex(b[key])
+            if x > 0 and math.isfinite(x) and math.isfinite(y):
+                ratios[key] = y / x
+        if ratios:
+            low, high = min(ratios, key=ratios.get), max(ratios, key=ratios.get)
+            print(
+                f"spectral_worst after/before over {len(ratios)} finite nonzero: "
+                f"min {ratios[low]:.6g} at {low}, max {ratios[high]:.6g} at {high}"
+            )
     differ = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key) and key not in spectral)
     for key in differ:
         print(f"differs: {key}: {a.get(key)} -> {b.get(key)}")

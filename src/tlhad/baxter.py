@@ -36,6 +36,38 @@ block, and every sample is a linear combination of them. Each entry's
 residual is at most B = sum_abc max_s |u^(a+b) w^(b+c)| |D_abc|, so the
 samples are evaluated only at the entries whose B can reach the
 running maximum, and the maximum is that of every entry.
+
+Hecke data do not need the two-operator kernel (V. F. R. Jones,
+"Baxterization", Int. J. Mod. Phys. B 4, 1990). Let delta = q - 1/q,
+H = (R - q I)(R + I/q) = R^2 - delta R - I, P = R - delta I (the inverse
+that the Hecke relation gives) and Y = R^-1 - P. Then
+
+    R_check(x) = Rh(x) - Y / x,   Rh(x) = a(x) R + c(x) I,   a(x) = x - 1/x,  c(x) = delta/x.
+
+Expand the defect of Rh. Its cubic term is a(u) a(uw) a(w) D_+++, and its
+terms in R12 R23, R23 R12 and I cancel between the sides. Its quadratic
+term is a(u) a(w) c(uw) (R12^2 - R23^2), with R^2 = H + delta R + I. The
+coefficient of R12 that results is
+
+    delta^2 / (uw) * (a(u) a(w) + a(u)/w + a(w)/u - a(uw)) = 0,
+
+and that of R23 is its negative. So, exactly, for any R and q,
+
+    E(u, w) = f D_+++ + g (H12 - H23) + (the words holding Y at least once),
+    f = a(u) a(uw) a(w),   g = a(u) a(w) delta / (uw).
+
+Each side is a product of three factors, Rh(x) or -Y/x, and a word holding
+Y is bounded by max|XYZ| <= ||X||_inf max|Y| ||Z||_1, where a norm of
+A (x) I or I (x) A is that of A. With h_p and y_p the norms of Rh and of
+Y/x at position p, the seven Y-words of a side sum to at most
+(y1 (h2 + y2) + h1 y2)(h3 + y3) + h1 h2 y3, and ||Rh(x)|| <= |a(x)| ||R|| +
+|c(x)|. Yb is the sum of both sides' bounds plus the rounding floor of
+the kernel's sum, (4 n + 16) eps times the same product of norms for the
+words of (R, -R^-1). So when max|H| <= tol, check_braid and O(n^4) more
+bound every sample's residual, as the kernel would compute it, between
+|f| braid - |g| max|H12 - H23| - Yb and J + Yb, with
+J = |f| braid + |g| max|H12 - H23|; where that decides the verdict, the
+kernel is not needed.
 """
 from __future__ import annotations
 
@@ -60,6 +92,7 @@ __all__ = [
     "check_spectral_ybe",
     "YbeResiduals",
     "ybe_residuals",
+    "SPECTRAL_ALLOWANCE",
     "flip_operator",
     "to_plain_r",
     "check_ybe",
@@ -135,11 +168,30 @@ def braid_from_tl(t_local: Matrix, nu: complex, tol: float = DEFAULT_TOL) -> Bra
     return BraidData(q, nu, r_check)
 
 
+def _hecke_defect(b: BraidData) -> np.ndarray:
+    """H = (R_check - q I)(R_check + (1/q) I), zero where the Hecke relation holds."""
+    eye = linalg.identity(b.r_check.shape[0])
+    return (b.r_check - b.q * eye) @ (b.r_check + (1 / b.q) * eye)
+
+
 def hecke_residual(b: BraidData) -> float:
     """Worst entry of (R_check - q I)(R_check + (1/q) I)."""
-    dim = b.r_check.shape[0]
-    eye = linalg.identity(dim)
-    return linalg.max_abs((b.r_check - b.q * eye) @ (b.r_check + (1 / b.q) * eye))
+    return linalg.max_abs(_hecke_defect(b))
+
+
+def _strand_difference(h: np.ndarray, n: int) -> float:
+    """max |H12 - H23| of a two-site operator h, from O(n^4) entries.
+
+    Entry (i j l, i' j' l') is h[i j, i' j'] [l = l'] - [i = i'] h[j l, j' l'].
+    Where i != i' or l != l', one term is left at most, and those entries
+    hold every off-diagonal entry of h; the n^4 others are
+    h[i j, i j'] - h[j l, j' l].
+    """
+    quad = h.reshape(n, n, n, n)
+    both = np.abs(np.einsum("ijik->ijk", quad)[..., None] - np.einsum("jlkl->jkl", quad))
+    off = np.abs(h)
+    np.fill_diagonal(off, 0.0)
+    return float(max(off.max(), both.max()))
 
 
 def _workspace(ops: np.ndarray) -> np.ndarray:
@@ -256,8 +308,12 @@ class YbeResiduals(NamedTuple):
     spectral: float
 
 
+#: The spectral residual's allowance over tol: Baxterized products amplify
+#: rounding. `check ybe` passes a spectral residual up to SPECTRAL_ALLOWANCE * tol.
+SPECTRAL_ALLOWANCE = 10
+_EPS = np.finfo(np.float64).eps
 #: Widens the bound of ybe_residuals past the rounding of the sums it bounds.
-_SLACK = 1 + 64 * np.finfo(np.float64).eps
+_SLACK = 1 + 64 * _EPS
 
 
 def _worst_residual(monomials: np.ndarray, cols: np.ndarray, out: np.ndarray, worst):
@@ -271,44 +327,52 @@ def _worst_residual(monomials: np.ndarray, cols: np.ndarray, out: np.ndarray, wo
     return worst
 
 
-def ybe_residuals(
-    b: BraidData,
-    samples: list[tuple[complex, complex]] | None = None,
-    count: int = 20,
-    seed: int = 42,
-    tol: float = DEFAULT_TOL,
-) -> YbeResiduals:
-    """Constant braid residual and worst spectral Yang-Baxter residual.
+def _hecke_bounds(
+    b: BraidData, ops: np.ndarray, u: np.ndarray, w: np.ndarray, tol: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
+    """check_braid's residual and, per sample, J and the bounds J + Yb and |f| braid - |g| d - Yb.
 
-    The spectral defect E at sample (u, w) is sum u^(a+b) w^(b+c) D_abc
-    over the eight mirror differences of the module docstring, built
-    from R_check and its one inverse whatever the number of samples
-    (default: spectral_samples(count, seed)), one strand-0 column block
-    at a time in a workspace of 12 n^5 entries: the block's D_abc and
-    4 n^5 of scratch. Every word is linear in its seed's columns, so the
-    blockwise maxima are exact. D_+++ is the braid defect, made by the
-    same products as in check_braid, so the braid residual is
-    check_braid's to the bit.
-
-    One magnitude pass over a block gives max |D_+++| and the bound
-    B = sum_abc reach_abc |D_abc| >= |E| of every entry, with reach_abc
-    the largest |u^(a+b) w^(b+c)| of the samples. The samples are
-    evaluated at the entry of largest B, then only at the entries whose
-    B, widened past rounding, is not below the running maximum. An entry
-    that holds the maximum is never skipped, so the result is the
-    unpruned one up to the rounding of each entry's sum. An entry with a
-    NaN bound has a NaN residual and is evaluated first, and a finite
-    bound means finite sums, so a non-finite residual at any sample
-    makes the spectral result non-finite.
+    None unless max|H| <= tol. d = max|H12 - H23|, and ops is the
+    kernel's stack (R_check, -R^-1), from which Y is taken. The two
+    bounds of the module docstring are widened past rounding by _SLACK;
+    a non-finite term makes the upper bound non-finite.
     """
-    if samples is None:
-        samples = spectral_samples(count, seed)
-    params = np.array(samples, dtype=np.complex128).reshape(-1, 2)
-    u, w = params[:, 0], params[:, 1]
-    if np.any((u == 0) | (w == 0) | (u * w == 0)):
-        raise ValueError("spectral parameters must be nonzero")
-    n = b.local_dim
-    ops = np.stack((b.r_check, -linalg.inverse(b.r_check, tol)))
+    with np.errstate(all="ignore"):
+        hecke = _hecke_defect(b)
+        if not linalg.max_abs(hecke) <= tol:
+            return None
+        n = b.local_dim
+        r, delta = b.r_check, b.q - 1 / b.q
+        braid = check_braid(r, n)
+        # -Y = R - delta I - R^-1, which has the magnitudes of Y.
+        y = ops[1] + r
+        y.flat[:: n * n + 1] -= delta
+        mags = np.abs(np.stack((r, y, ops[1])))
+        # Rows: the infinity norm, the largest entry and the 1-norm; columns: R, Y and R^-1.
+        norms = np.stack(
+            (mags.sum(axis=2).max(axis=1), mags.max(axis=(1, 2)), mags.sum(axis=1).max(axis=1))
+        )
+        # x at the three positions of each side: (u, uw, w) on the left, (w, uw, u) on the right.
+        uw = u * w
+        x = np.array(((u, w), (uw, uw), (w, u)))
+        inv = 1 / x
+        a = np.abs(x - inv)
+        x, inv = np.abs(x), np.abs(inv)
+        h1, h2, h3 = a * norms[:, 0, None, None] + abs(delta) * inv
+        y1, y2, y3 = inv * norms[:, 1, None, None]
+        yb = ((y1 * (h2 + y2) + h1 * y2) * (h3 + y3) + h1 * h2 * y3).sum(axis=0)
+        # The rounding floor of the kernel's sum over the eight words of (R, -R^-1).
+        scale = (x * norms[:, 0, None, None] + inv * norms[:, 2, None, None]).prod(axis=0)
+        yb += (4 * n + 16) * _EPS * scale.sum(axis=0)
+        f = a[0, 0] * a[1, 0] * a[2, 0] * braid
+        g = a[0, 0] * a[2, 0] * abs(delta) * inv[1, 0] * _strand_difference(hecke, n)
+        spectral = f + g
+        return braid, spectral, (spectral + yb) * _SLACK, f / _SLACK - (g + yb) * _SLACK
+
+
+def _kernel_residuals(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> YbeResiduals:
+    """Both residuals from the mirror words of ops = (R_check, -R^-1), as ybe_residuals describes."""
+    n = math.isqrt(ops.shape[1])
     work = _workspace(ops)
     size, chunk = n**5, n**4
     # The kernel's 4 n^5 free entries, as floats: the bound B of every
@@ -356,6 +420,64 @@ def ybe_residuals(
     return YbeResiduals(float(braid.max()), float(worst))
 
 
+def ybe_residuals(
+    b: BraidData,
+    samples: list[tuple[complex, complex]] | None = None,
+    count: int = 20,
+    seed: int = 42,
+    tol: float = DEFAULT_TOL,
+) -> YbeResiduals:
+    """Constant braid residual and worst spectral Yang-Baxter residual.
+
+    The samples default to spectral_samples(count, seed). R_check's one
+    inverse is taken first, whatever the number of samples, so a singular
+    R_check is refused on both routes, and a zero u, w or uw before it.
+
+    Hecke route: when max|H| <= tol, every sample's residual lies between
+    the two bounds of the module docstring, taken from check_braid and
+    O(n^4) work (_hecke_bounds). If each sample's upper bound is within
+    SPECTRAL_ALLOWANCE * tol or some sample's lower bound exceeds it,
+    the bounds decide `check ybe`'s spectral verdict, and the
+    spectral residual is max_s J_s = |f| braid + |g| max|H12 - H23|: the
+    residual of R_check(x) built with the Hecke inverse P, not R^-1.
+
+    Kernel route, for any other input and whenever a bound is not finite
+    or undecided: E at sample (u, w) is sum u^(a+b) w^(b+c) D_abc over the
+    eight mirror differences of the module docstring, built one strand-0
+    column block at a time in a workspace of 12 n^5 entries: the block's
+    D_abc and 4 n^5 of scratch. Every word is linear in its seed's
+    columns, so the blockwise maxima are exact. One magnitude pass over a
+    block gives max |D_+++| and the bound B = sum_abc reach_abc |D_abc|
+    >= |E| of every entry, with reach_abc the largest |u^(a+b) w^(b+c)|
+    of the samples. The samples are evaluated at the entry of largest B,
+    then only at the entries whose B, widened past rounding, is not below
+    the running maximum. An entry that holds the maximum is never
+    skipped, so the result is the unpruned one up to the rounding of each
+    entry's sum. An entry with a NaN bound has a NaN residual and is
+    evaluated first, and a finite bound means finite sums, so a
+    non-finite residual at any sample makes the spectral result
+    non-finite.
+
+    On both routes the braid residual is check_braid's to the bit: the
+    kernel makes D_+++ by the same products.
+    """
+    if samples is None:
+        samples = spectral_samples(count, seed)
+    params = np.array(samples, dtype=np.complex128).reshape(-1, 2)
+    u, w = params[:, 0], params[:, 1]
+    if np.any((u == 0) | (w == 0) | (u * w == 0)):
+        raise ValueError("spectral parameters must be nonzero")
+    ops = np.stack((b.r_check, -linalg.inverse(b.r_check, tol)))
+    bounds = _hecke_bounds(b, ops, u, w, tol)
+    if bounds is not None:
+        spectral_tol = SPECTRAL_ALLOWANCE * tol
+        braid, spectral, upper, lower = bounds
+        top = upper.max(initial=0.0)
+        # A finite upper bound means every term, and so the lower bound, is finite.
+        if math.isfinite(top) and (top <= spectral_tol or lower.max(initial=-math.inf) > spectral_tol):
+            return YbeResiduals(braid, float(spectral.max(initial=0.0)))
+    return _kernel_residuals(ops, u, w)
+
 def check_spectral_ybe(
     b: BraidData,
     samples: list[tuple[complex, complex]] | None = None,
@@ -368,9 +490,9 @@ def check_spectral_ybe(
         R12(u) R23(u*w) R12(w) = R23(w) R12(u*w) R23(u)
 
     over the given samples (default: spectral_samples(count, seed)),
-    evaluated as sum u^(a+b) w^(b+c) D_abc from the eight mirror
-    differences that ybe_residuals builds, in column blocks, from one
-    inverse.
+    as ybe_residuals gives it: from the braid and Hecke defects where
+    they decide the verdict, otherwise from the eight mirror
+    differences, in column blocks, from one inverse.
     """
     return ybe_residuals(b, samples, count, seed, tol).spectral
 

@@ -285,11 +285,9 @@ def _check_braid(args) -> tuple[dict, bool]:
 def _check_ybe(args) -> tuple[dict, bool]:
     b = _braid_from_args(args)
     samples = baxter.spectral_samples(args.samples, args.seed)
-    # One pass gives both: the braid residual is the spectral check's D_+++.
+    # One pass gives both: the braid residual is check_braid's.
     braid_residual, spectral_worst = baxter.ybe_residuals(b, samples, tol=args.tol)
-    # Baxterized products amplify rounding; the spectral bound gets the
-    # documented 10x allowance over the constant-braid tolerance.
-    spectral_tol = 10 * args.tol
+    spectral_tol = baxter.SPECTRAL_ALLOWANCE * args.tol
     ok = braid_residual <= args.tol and spectral_worst <= spectral_tol
     payload = {
         "check": "ybe",

@@ -111,6 +111,23 @@ ORACLE_BRAIDS = {
 }
 
 
+def nonmaster_braid(n, seed):
+    """Hecke data with a large braid defect: an ansatz on a random M, with random weights."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    exponents = tuple(int(e) for e in rng.permutation(n) - n // 2)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return braid_from_ansatz(TLAnsatz(m, exponents, v=v, w=w))
+
+
+#: Hecke data: the ORACLE_BRAIDS that pass, and non-master ansaetze that fail.
+HECKE_BRAIDS = {
+    **{case: make for case, make in ORACLE_BRAIDS.items() if case != "violation" and case[:6] != "random"},
+    **{f"nonmaster{n}": (lambda n=n: nonmaster_braid(n, n - 1)) for n in (2, 3, 4, 5)},
+}
+
+
 def spectral_ybe_by_baxterize(b, samples):
     """Reference: each spectral generator from baxterize, one inverse per call of it."""
     n = b.local_dim
@@ -145,6 +162,12 @@ def unpruned_spectral(samples, blocks):
     mono = spectral_monomials(samples)
     with np.errstate(all="ignore"):
         return float(np.max([np.abs(mono @ d).max(initial=0.0) for d in blocks]))
+
+
+def kernel_residuals(b, samples, tol=1e-9):
+    """ybe_residuals' kernel route, whatever the input: the mirror words of (R, -R^-1)."""
+    u, w = np.array(samples, dtype=np.complex128).reshape(-1, 2).T
+    return baxter._kernel_residuals(np.stack((b.r_check, -inverse(b.r_check, tol))), u, w)
 
 
 def mirror_word_blocks(b):
@@ -403,7 +426,8 @@ class TestSpectralYbeAgainstOracle:
         assert ybe_residuals(b, count=3).braid == check_braid(b.r_check)
 
     def test_one_inverse_and_kernel_calls_independent_of_samples(self, monkeypatch):
-        b = braid_from_spec(6)
+        # Not Hecke, so the spectral check takes the two-operator kernel.
+        b = random_braid(6, 46)
         inverses, kernel_calls = [], []
         real_inverse, real_kernel = linalg.inverse, baxter._mirror_words
 
@@ -427,7 +451,7 @@ class TestSpectralYbeAgainstOracle:
             check_spectral_ybe(b, count=count)
             # One inverse, then one kernel call per strand-0 column block.
             assert len(inverses) == 1
-            assert len(kernel_calls) == 6
+            assert [len(args[0]) for args in kernel_calls] == [2] * 6
         inverses.clear()
         kernel_calls.clear()
         check_braid(b.r_check)
@@ -437,6 +461,13 @@ class TestSpectralYbeAgainstOracle:
 
     def test_peak_memory_not_above_the_per_sample_loop(self):
         b = braid_from_spec(6)
+        samples = spectral_samples(20, 42)
+        new = peak_bytes(lambda: check_spectral_ybe(b, samples=samples))
+        old = peak_bytes(lambda: spectral_ybe_by_baxterize(b, samples))
+        assert new <= old
+
+    def test_peak_memory_not_above_the_per_sample_loop_on_the_kernel_route(self):
+        b = random_braid(6, 46)
         samples = spectral_samples(20, 42)
         new = peak_bytes(lambda: check_spectral_ybe(b, samples=samples))
         old = peak_bytes(lambda: spectral_ybe_by_baxterize(b, samples))
@@ -517,16 +548,26 @@ class TestMirrorWordsMemory:
         samples = spectral_samples(20, 42)
         assert peak_bytes(lambda: ybe_residuals(b, samples)) <= 3.45e6
 
+    def test_ybe_residuals_peak_not_above_the_coefficient_form_on_the_kernel_route(self):
+        b = random_braid(6, 46)
+        samples = spectral_samples(20, 42)
+        assert peak_bytes(lambda: ybe_residuals(b, samples)) <= 3.45e6
+
 
 class TestPrunedSamples:
-    """ybe_residuals evaluates the samples only at entries whose bound can reach the maximum."""
+    """The kernel route evaluates the samples only at entries whose bound can reach the maximum.
+
+    Hecke data take the kernel route only where called for it directly, or
+    where their bounds do not decide, so these tests call it or give
+    non-Hecke input.
+    """
 
     @pytest.mark.parametrize("count", [1, 8, 9, 100])
     @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
     def test_equals_the_unpruned_evaluation(self, case, count):
         b = ORACLE_BRAIDS[case]()
         samples = spectral_samples(count, 42)
-        got = ybe_residuals(b, samples).spectral
+        got = kernel_residuals(b, samples).spectral
         full = unpruned_spectral(samples, mirror_word_blocks(b))
         assert abs(got - full) <= 1e-9 * full + oracle_floor(b, samples)
 
@@ -536,7 +577,7 @@ class TestPrunedSamples:
         # earlier kernel took 20 n^5); beyond them, R and -R^-1, their
         # transposed copy and a gather's index (5 n^4), and one numpy ufunc
         # buffer.
-        b = braid_from_spec(n)
+        b = random_braid(n, 40 + n)
         samples = spectral_samples(20, 42)
         bound = 16 * (12 * n**5 + 5 * n**4) + 16 * np.getbufsize() + 2**14
         assert peak_bytes(lambda: ybe_residuals(b, samples)) <= bound
@@ -578,7 +619,7 @@ class TestPrunedSamples:
         samples = spectral_samples(8, 42) + [sample]
         full = unpruned_spectral(samples, blocks)
         monkeypatch.setattr(baxter, "_mirror_words", crafted_kernel)
-        got = ybe_residuals(braid_from_spec(2), samples).spectral
+        got = ybe_residuals(diag_violation(), samples).spectral
         assert {"nan": math.isnan, "inf": math.isinf}[expect](full)
         assert (math.isnan(got), math.isinf(got)) == (math.isnan(full), math.isinf(full))
 
@@ -600,7 +641,7 @@ class TestPrunedSamples:
         blocks = self.crafted_blocks([0, 0, 100, 0, 0, 0.95 * maximum - 100, 0, 0], 1e-3)
         blocks[0][:, 2 * self.LARGE] = [0, 0, 0, 0, 0, 0, 10, 0]
         monkeypatch.setattr(baxter, "_mirror_words", lambda ops, k, work: blocks[k].reshape(2, 2, 2, 8, 4))
-        assert ybe_residuals(braid_from_spec(2), samples).spectral == pytest.approx(maximum, rel=1e-12)
+        assert ybe_residuals(diag_violation(), samples).spectral == pytest.approx(maximum, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_blocks(self, n):
@@ -611,6 +652,137 @@ class TestPrunedSamples:
             full = unpruned_spectral(samples, mirror_word_blocks(b))
             got = ybe_residuals(b, samples).spectral
             assert abs(got - full) <= 1e-9 * full + oracle_floor(b, samples)
+
+
+def kernel_counter(monkeypatch):
+    """The stack size m of every _mirror_words call from now on."""
+    calls, real = [], baxter._mirror_words
+
+    def counting(ops, *args, **kwargs):
+        calls.append(len(ops))
+        return real(ops, *args, **kwargs)
+
+    monkeypatch.setattr(baxter, "_mirror_words", counting)
+    return calls
+
+
+def hecke_bounds(b, samples, tol=1e-9):
+    u, w = np.array(samples, dtype=np.complex128).reshape(-1, 2).T
+    return baxter._hecke_bounds(b, np.stack((b.r_check, -inverse(b.r_check))), u, w, tol)
+
+
+class TestHeckeRoute:
+    """Hecke data: both residuals from check_braid and the Hecke defect, without the two-operator kernel."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_strand_difference_is_the_dense_maximum(self, n):
+        rng = np.random.default_rng(70 + n)
+        h = as_matrix(rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+        eye = identity(n)
+        assert baxter._strand_difference(h, n) == max_abs(kron(h, eye) - kron(eye, h))
+        hecke = baxter._hecke_defect(braid_from_spec(n) if n > 1 else BraidData(1j, 3, [[1j]]))
+        assert baxter._strand_difference(hecke, n) == max_abs(kron(hecke, eye) - kron(eye, hecke))
+
+    @pytest.mark.parametrize("case", list(HECKE_BRAIDS))
+    @pytest.mark.parametrize("sample_set", ["seed42", "corners"])
+    def test_bounds_hold_at_every_sample(self, case, sample_set):
+        b = HECKE_BRAIDS[case]()
+        samples = spectral_samples(20, 42) if sample_set == "seed42" else CORNER_SAMPLES
+        braid, spectral, upper, lower = hecke_bounds(b, samples)
+        assert braid == check_braid(b.r_check)
+        for s, sample in enumerate(samples):
+            oracle = spectral_ybe_by_baxterize(b, [sample])
+            assert lower[s] <= oracle <= upper[s]
+            assert lower[s] <= spectral[s] <= upper[s]
+
+    @pytest.mark.parametrize("case", list(HECKE_BRAIDS))
+    @pytest.mark.parametrize("sample_set", ["seed42", "corners"])
+    def test_same_verdict_as_the_kernel(self, monkeypatch, case, sample_set):
+        b = HECKE_BRAIDS[case]()
+        samples = spectral_samples(20, 42) if sample_set == "seed42" else CORNER_SAMPLES
+        kernel = kernel_residuals(b, samples)
+        calls = kernel_counter(monkeypatch)
+        got = ybe_residuals(b, samples)
+        # Decided without the two-operator kernel, and check_braid's braid residual.
+        assert calls == [1] * b.local_dim
+        assert got.braid == kernel.braid == check_braid(b.r_check)
+        passes = not case.startswith("nonmaster")
+        assert (got.spectral <= 1e-8) == (kernel.spectral <= 1e-8) == passes
+        if not passes:
+            assert abs(got.spectral - kernel.spectral) <= 1e-12 * kernel.spectral
+
+    def test_one_inverse_whatever_the_sample_count(self, monkeypatch):
+        b = braid_from_spec(6)
+        inverses, real_inverse = [], linalg.inverse
+
+        def counting_inverse(*args, **kwargs):
+            inverses.append(args)
+            return real_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "inverse", counting_inverse)
+        calls = kernel_counter(monkeypatch)
+        for count in (0, 5, 50):
+            inverses.clear()
+            calls.clear()
+            ybe_residuals(b, spectral_samples(count, 42) if count else [])
+            assert len(inverses) == 1
+            assert calls == [1] * 6
+
+    @pytest.mark.parametrize("case", ["violation", "random2", "random3", "random4"])
+    def test_non_hecke_input_falls_back_to_the_kernel(self, monkeypatch, case):
+        b = ORACLE_BRAIDS[case]()
+        samples = spectral_samples(20, 42)
+        assert hecke_bounds(b, samples) is None
+        kernel = kernel_residuals(b, samples)
+        calls = kernel_counter(monkeypatch)
+        assert ybe_residuals(b, samples) == kernel
+        assert calls == [2] * b.local_dim
+
+    def test_undecided_bounds_fall_back_to_the_kernel(self, monkeypatch):
+        # With an allowance of 1e-14 the passing Fourier data's bounds straddle
+        # it, so the kernel decides and its value is returned.
+        b = braid_from_spec(3)
+        samples = spectral_samples(20, 42)
+        _, _, upper, lower = hecke_bounds(b, samples)
+        assert lower.max() <= 1e-14 < upper.max()
+        kernel = kernel_residuals(b, samples)
+        calls = kernel_counter(monkeypatch)
+        monkeypatch.setattr(baxter, "SPECTRAL_ALLOWANCE", 1e-14 / 1e-9)
+        assert ybe_residuals(b, samples) == kernel
+        assert calls[-3:] == [2] * 3
+
+    def test_non_finite_braid_residual_falls_back(self, monkeypatch):
+        # Exactly Hecke (eigenvalues q and -1/q), but q^3 overflows in the braid words.
+        q = 1e120
+        b = BraidData(q, 4, np.diag([q, -1 / q, -1 / q, q]))
+        samples = spectral_samples(3, 42)
+        assert hecke_residual(b) == 0
+        with np.errstate(all="ignore"):
+            kernel = kernel_residuals(b, samples, tol=0)
+            calls = kernel_counter(monkeypatch)
+            got = ybe_residuals(b, samples, tol=0)
+        assert calls == [1, 1, 2, 2]
+        assert math.isnan(got.braid) and math.isnan(kernel.braid)
+        assert math.isnan(got.spectral) == math.isnan(kernel.spectral)
+        assert not got.spectral <= 1e-8
+
+    @pytest.mark.parametrize(
+        "sample", [(1e-200, 1.0), (1e200, 1.0), (1e160, 1e-160), (1e155, 1.0), (1e154, 1.0), (1e-77, 1e-77)]
+    )
+    def test_extreme_samples_give_the_kernels_result(self, sample):
+        b = braid_from_spec(3)
+        samples = spectral_samples(3, 42) + [sample]
+        got, kernel = ybe_residuals(b, samples), kernel_residuals(b, samples)
+        assert got.braid == kernel.braid
+        assert got.spectral == kernel.spectral or (math.isnan(got.spectral) and math.isnan(kernel.spectral))
+
+    def test_singular_hecke_data_is_refused(self):
+        # Exactly Hecke, but max|R| * max|R^-1| = 1e12 reaches 1 / tol.
+        q = 1e-6
+        b = BraidData(q, 4, np.diag([q, -1 / q, -1 / q, q]))
+        assert hecke_residual(b) == 0
+        with pytest.raises(linalg.SingularMatrixError):
+            ybe_residuals(b, spectral_samples(3, 42))
 
 
 class TestPlainYbe:

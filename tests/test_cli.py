@@ -3,6 +3,8 @@
 import argparse
 import cmath
 import copy
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -17,6 +19,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from tlhad.baxter import BraidData, braid_from_tl, q_from_nu
 import tlhad
-from tlhad import cli, linalg
+from tlhad import baxter, cli, linalg
 from tlhad.cli import main, read_matrix
 from tlhad.hadamard import f6_family, fourier
 from tlhad.linalg import as_matrix, matrix_to_dict
@@ -38,6 +41,9 @@ from tlhad.tlrep import (
     fixture_u2_ansatz,
     reconstruct_m,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -324,6 +330,10 @@ def _braid_docs():
     rng = np.random.default_rng(5)
     generic = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     docs = {"generic_n3": BraidData(q_from_nu(3), 3, as_matrix(generic)).to_dict()}
+    # Hecke data with a braid defect of order 1e5: an ansatz on a random M.
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2 * np.eye(3)
+    a = TLAnsatz(m, (1, -1, 0), v=rng.normal(size=3) + 1j, w=rng.normal(size=3) - 1j)
+    docs["nonmaster_n3"] = braid_from_tl(build_local_generator(a), a.alpha).to_dict()
     for name, a in (("fixture_u1", fixture_u1_ansatz()), ("fixture_u2", fixture_u2_ansatz())):
         docs[name] = braid_from_tl(build_local_generator(a), a.alpha).to_dict()
     for n in (2, 5, 6):
@@ -343,7 +353,48 @@ def test_ybe_braid_residual_is_check_braids(capsys, workdir, case):
     code, braid = run_json(capsys, "check", "braid", "--braid", "braid.json")
     ybe_code, ybe = run_json(capsys, "check", "ybe", "--braid", "braid.json", "--samples", "5")
     assert ybe["braid_residual"] == braid["braid_residual"]
-    assert code == ybe_code == (1 if case == "generic_n3" else 0)
+    assert code == ybe_code == (1 if case in ("generic_n3", "nonmaster_n3") else 0)
+
+
+def _mirror_word_stacks(monkeypatch):
+    """The stack size m of every baxter._mirror_words call from now on."""
+    calls, real = [], baxter._mirror_words
+
+    def counting(ops, *args, **kwargs):
+        calls.append(len(ops))
+        return real(ops, *args, **kwargs)
+
+    monkeypatch.setattr(baxter, "_mirror_words", counting)
+    return calls
+
+
+def test_benchmark_ybe_checks_skip_the_two_operator_kernel(monkeypatch, tmp_path):
+    # The cli_roundtrip pipelines of perfbench check `ybe` on the Hecke
+    # braid files that `build braid` writes: both residuals come from
+    # check_braid (m = 1) and the Hecke defect, never from the m = 2 kernel.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    modules = ("linalg", "hadamard", "master", "tlrep", "baxter", "cli")
+    lib = SimpleNamespace(**{name: importlib.import_module(f"tlhad.{name}") for name in modules})
+    ops = workloads.WORKLOADS["cli_roundtrip"](lib, np.random.default_rng(5), str(tmp_path))
+    pipelines = [op for op in ops if op.slice == "pipeline"]
+    calls = _mirror_word_stacks(monkeypatch)
+    for op in pipelines:
+        assert op.judge(op.run()).verdict == "pass"
+    # One check_braid block per strand-0 index of each pipeline's n.
+    assert calls == [1] * sum(int(op.label[1 : op.label.index("s")]) for op in pipelines)
+
+
+def test_ybe_of_singular_hecke_data_exits_2(capsys, workdir):
+    # Exactly Hecke (eigenvalues q and -1/q), and max|R| * max|R^-1| = 1e12.
+    q = 1e-6
+    doc = BraidData(q, 4, np.diag([q, -1 / q, -1 / q, q])).to_dict()
+    (workdir / "braid.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "ybe", "--braid", "braid.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "singular" in err
 
 
 class TestBuild:
