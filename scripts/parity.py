@@ -23,11 +23,12 @@ checkout) and records:
 
 The inputs and cases are those of this checkout. `compare` exits 1 unless
 the two files hold the same keys with equal values. spectral_worst may
-move without a change of verdict (within the rounding floor of its sum,
-or by a factor where `check ybe` takes its value from the Hecke bounds),
-so `compare` reports, instead of failing on it, its largest distance in
-ulps and the smallest and largest ratio after/before, each with the case
-that sets it.
+move without a change of verdict: `check ybe` takes it from the Hecke
+bounds' J on Hecke data and from the mirror words' coefficient bound on
+any other input, and a change to either moves it by a factor, or within
+the rounding floor of its sum. So `compare` reports, instead of failing on
+it, its largest distance in ulps and the smallest and largest ratio
+after/before, each with the case that sets it.
 """
 from __future__ import annotations
 

@@ -31,11 +31,13 @@ alone and no inverse. The kernel builds the D_abc of a stack of m
 operators one strand-0 column block at a time, from seeds that are
 Kronecker products with the identity, in a workspace of (m^3 + 2 m) n^5
 entries and O(m n^4) more: 12 n^5 for the spectral check, 3 n^5 for
-check_braid. The spectral check takes the eight differences once per
-block, and every sample is a linear combination of them. Each entry's
-residual is at most B = sum_abc max_s |u^(a+b) w^(b+c)| |D_abc|, so the
-samples are evaluated only at the entries whose B can reach the
-running maximum, and the maximum is that of every entry.
+check_braid. The defect is a Laurent polynomial in seven coefficients
+C_k: the words, except that D_+-+ and D_-+- share the monomial u^0 w^0
+and are one coefficient, their sum, which vanishes on passing data
+where neither word does. So each entry's residual at every sample is at
+most sum_k max_s |m_k(u_s, w_s)| |C_k|, with m_k the monomial of C_k, and
+the spectral check takes the maximum of that bound over the entries,
+from one magnitude pass per block and no evaluation at any sample.
 
 Hecke data do not need the two-operator kernel (V. F. R. Jones,
 "Baxterization", Int. J. Mod. Phys. B 4, 1990). Let delta = q - 1/q,
@@ -302,7 +304,7 @@ def spectral_samples(count: int = 20, seed: int = 42) -> list[tuple[complex, com
 
 
 class YbeResiduals(NamedTuple):
-    """Constant braid residual (as check_braid) and worst spectral residual."""
+    """Constant braid residual (as check_braid) and spectral residual (as ybe_residuals describes)."""
 
     braid: float
     spectral: float
@@ -314,17 +316,6 @@ SPECTRAL_ALLOWANCE = 10
 _EPS = np.finfo(np.float64).eps
 #: Widens the bound of ybe_residuals past the rounding of the sums it bounds.
 _SLACK = 1 + 64 * _EPS
-
-
-def _worst_residual(monomials: np.ndarray, cols: np.ndarray, out: np.ndarray, worst):
-    """max(worst, max |monomials @ cols|), NaN if any is NaN, with the products in the floats out."""
-    rows = out.size // (3 * cols.shape[1])
-    for lo in range(0, len(monomials), rows):
-        coef = monomials[lo : lo + rows]
-        entries = len(coef) * cols.shape[1]
-        prod = np.matmul(coef, cols, out=out[: 2 * entries].view(np.complex128).reshape(len(coef), -1))
-        worst = np.abs(prod, out=out[2 * entries : 3 * entries].reshape(prod.shape)).max(initial=worst)
-    return worst
 
 
 def _hecke_bounds(
@@ -374,50 +365,29 @@ def _kernel_residuals(ops: np.ndarray, u: np.ndarray, w: np.ndarray) -> YbeResid
     """Both residuals from the mirror words of ops = (R_check, -R^-1), as ybe_residuals describes."""
     n = math.isqrt(ops.shape[1])
     work = _workspace(ops)
-    size, chunk = n**5, n**4
-    # The kernel's 4 n^5 free entries, as floats: the bound B of every
-    # entry, then the magnitudes it is made from, or, for one chunk of
-    # entries at a time, which are kept, their gathered words, and their
-    # residuals at the samples.
+    size = n**5
+    # The kernel's 4 n^5 free entries, as floats: the magnitudes of the
+    # seven coefficients, then the bound of every entry.
     scratch = work[8 * size : 12 * size].view(np.float64)
-    bound, mag, part = scratch[:size], scratch[size : 5 * size].reshape(4, size), scratch[5 * size : 6 * size]
-    flag_floats = -(-chunk // 8)
-    flags, rest = scratch[size : size + flag_floats].view(np.bool_)[:chunk], scratch[size + flag_floats :]
+    mag, bound = scratch[: 7 * size].reshape(7, size), scratch[7 * size :]
     signs = (1, -1)
+    # |u^(a+b) w^(b+c)| of each word is (|u|^2)^i (|w|^2)^j, in the order of
+    # _mirror_words' leading axes; word 5, D_-+-, shares u^0 w^0 with word 2, D_+-+.
+    powers = [((a + bb) // 2, (bb + c) // 2) for a in signs for bb in signs for c in signs]
+    del powers[5]
+    braid, spectral = np.empty(n), np.empty(n)
     with np.errstate(all="ignore"):
-        pu = {2: u * u, 0: np.ones_like(u), -2: 1 / (u * u)}
-        pw = {2: w * w, 0: np.ones_like(w), -2: 1 / (w * w)}
-        # Column (a, b, c) in the order of _mirror_words' leading axes.
-        monomials = np.stack(
-            [pu[a + bb] * pw[bb + c] for a in signs for bb in signs for c in signs], axis=1
-        )
-        reach = np.abs(monomials).max(axis=0, initial=0.0)[:, None] * _SLACK
-        worst = 0.0
-        braid = np.empty(n)
+        su, sw = np.abs(u) ** 2, np.abs(w) ** 2
+        reach = np.array([(su**i * sw**j).max() for i, j in powers])[:, None] * _SLACK
         for k in range(n):
             d = _mirror_words(ops, k, work).reshape(8, size)
-            np.abs(d[:4], out=mag)
+            d[2] += d[5]
+            np.abs(d[:5], out=mag[:5])
+            np.abs(d[6:], out=mag[5:])
             braid[k] = mag[0].max()
-            np.add.reduce(np.multiply(mag, reach[:4], out=mag), axis=0, out=bound)
-            np.abs(d[4:], out=mag)
-            np.add.reduce(np.multiply(mag, reach[4:], out=mag), axis=0, out=part)
-            bound += part
-            # argmax takes a NaN bound first, and its entry's residual is NaN.
-            worst = np.abs(monomials @ d[:, bound.argmax()]).max(initial=worst)
-            for lo in range(0, size, chunk):
-                kept = np.count_nonzero(np.greater_equal(bound[lo : lo + chunk], worst, out=flags))
-                if 2 * kept > chunk:
-                    # Past half a chunk, a copy would cost more than the products it
-                    # saves, and at n <= 2 it would not fit in the scratch.
-                    worst = _worst_residual(monomials, d[:, lo : lo + chunk], rest, worst)
-                elif kept:
-                    index = np.flatnonzero(flags)
-                    index += lo
-                    # d is C-ordered, so take copies no operand; its default mode copies out.
-                    gathered = rest[: 16 * kept].view(np.complex128).reshape(8, kept)
-                    np.take(d, index, axis=1, out=gathered, mode="clip")
-                    worst = _worst_residual(monomials, gathered, rest[16 * kept :], worst)
-    return YbeResiduals(float(braid.max()), float(worst))
+            np.add.reduce(np.multiply(mag, reach, out=mag), axis=0, out=bound)
+            spectral[k] = bound.max()
+    return YbeResiduals(float(braid.max()), float(spectral.max()))
 
 
 def ybe_residuals(
@@ -427,7 +397,7 @@ def ybe_residuals(
     seed: int = 42,
     tol: float = DEFAULT_TOL,
 ) -> YbeResiduals:
-    """Constant braid residual and worst spectral Yang-Baxter residual.
+    """Constant braid residual and spectral Yang-Baxter residual over the samples.
 
     The samples default to spectral_samples(count, seed). R_check's one
     inverse is taken first, whatever the number of samples, so a singular
@@ -446,17 +416,15 @@ def ybe_residuals(
     eight mirror differences of the module docstring, built one strand-0
     column block at a time in a workspace of 12 n^5 entries: the block's
     D_abc and 4 n^5 of scratch. Every word is linear in its seed's
-    columns, so the blockwise maxima are exact. One magnitude pass over a
-    block gives max |D_+++| and the bound B = sum_abc reach_abc |D_abc|
-    >= |E| of every entry, with reach_abc the largest |u^(a+b) w^(b+c)|
-    of the samples. The samples are evaluated at the entry of largest B,
-    then only at the entries whose B, widened past rounding, is not below
-    the running maximum. An entry that holds the maximum is never
-    skipped, so the result is the unpruned one up to the rounding of each
-    entry's sum. An entry with a NaN bound has a NaN residual and is
-    evaluated first, and a finite bound means finite sums, so a
-    non-finite residual at any sample makes the spectral result
-    non-finite.
+    columns, so the blockwise maxima are exact. The block's D_-+- is
+    added to D_+-+ in place, and one magnitude pass gives max |D_+++| and
+    the bound sum_k reach_k |C_k| of every entry over the seven
+    coefficients, with reach_k the largest |m_k| of the samples, widened
+    past rounding. The spectral residual is the largest bound, which is
+    at least the residual at every sample. A NaN or an overflow in any
+    word or monomial makes it non-finite.
+
+    Without samples the spectral residual is 0.0.
 
     On both routes the braid residual is check_braid's to the bit: the
     kernel makes D_+++ by the same products.
@@ -468,15 +436,19 @@ def ybe_residuals(
     if np.any((u == 0) | (w == 0) | (u * w == 0)):
         raise ValueError("spectral parameters must be nonzero")
     ops = np.stack((b.r_check, -linalg.inverse(b.r_check, tol)))
+    if not len(u):
+        # Without a sample there is no spectral residual, not even a NaN word's.
+        return YbeResiduals(check_braid(b.r_check), 0.0)
     bounds = _hecke_bounds(b, ops, u, w, tol)
     if bounds is not None:
         spectral_tol = SPECTRAL_ALLOWANCE * tol
         braid, spectral, upper, lower = bounds
-        top = upper.max(initial=0.0)
+        top = upper.max()
         # A finite upper bound means every term, and so the lower bound, is finite.
-        if math.isfinite(top) and (top <= spectral_tol or lower.max(initial=-math.inf) > spectral_tol):
-            return YbeResiduals(braid, float(spectral.max(initial=0.0)))
+        if math.isfinite(top) and (top <= spectral_tol or lower.max() > spectral_tol):
+            return YbeResiduals(braid, float(spectral.max()))
     return _kernel_residuals(ops, u, w)
+
 
 def check_spectral_ybe(
     b: BraidData,
@@ -485,14 +457,15 @@ def check_spectral_ybe(
     seed: int = 42,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Worst residual of the multiplicative spectral Yang-Baxter equation
+    """Spectral residual of the multiplicative Yang-Baxter equation
 
         R12(u) R23(u*w) R12(w) = R23(w) R12(u*w) R23(u)
 
     over the given samples (default: spectral_samples(count, seed)),
-    as ybe_residuals gives it: from the braid and Hecke defects where
-    they decide the verdict, otherwise from the eight mirror
-    differences, in column blocks, from one inverse.
+    as ybe_residuals gives it from one inverse. Where the braid and
+    Hecke defects decide the verdict, it is the largest J of the
+    samples; otherwise it is the mirror words' coefficient bound, which
+    is at least the residual at every sample.
     """
     return ybe_residuals(b, samples, count, seed, tol).spectral
 

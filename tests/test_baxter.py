@@ -126,6 +126,19 @@ HECKE_BRAIDS = {
     **{case: make for case, make in ORACLE_BRAIDS.items() if case != "violation" and case[:6] != "random"},
     **{f"nonmaster{n}": (lambda n=n: nonmaster_braid(n, n - 1)) for n in (2, 3, 4, 5)},
 }
+ALL_BRAIDS = {**ORACLE_BRAIDS, **HECKE_BRAIDS}
+
+
+#: The ORACLE_BRAIDS that are not Hecke data, and so take the kernel route of ybe_residuals.
+KERNEL_ROUTE = ("violation", "random2", "random3", "random4")
+
+
+def assert_bounds_the_oracle(got, b, samples):
+    """got is at least the oracle's residual at every sample, at most 5x their maximum, and fails."""
+    oracle = [spectral_ybe_by_baxterize(b, [sample]) for sample in samples]
+    assert all(got >= residual for residual in oracle)
+    assert got <= 5 * max(oracle)
+    assert got > baxter.SPECTRAL_ALLOWANCE * 1e-9
 
 
 def spectral_ybe_by_baxterize(b, samples):
@@ -162,6 +175,18 @@ def unpruned_spectral(samples, blocks):
     mono = spectral_monomials(samples)
     with np.errstate(all="ignore"):
         return float(np.max([np.abs(mono @ d).max(initial=0.0) for d in blocks]))
+
+
+def coefficient_bound(samples, blocks):
+    """Largest sum_k max_s |m_k(u_s, w_s)| |C_k| of an entry of the blocks, over the seven coefficients.
+
+    C_k is a word, except that D_-+- (word 5) is added to D_+-+ (word 2):
+    both multiply u^0 w^0.
+    """
+    reach = np.delete(np.abs(spectral_monomials(samples)).max(axis=0), 5)
+    fold = np.eye(8)[[0, 1, 2, 3, 4, 6, 7]]
+    fold[2, 5] = 1
+    return float(np.max([(reach[:, None] * np.abs(fold @ d)).sum(axis=0).max() for d in blocks]))
 
 
 def kernel_residuals(b, samples, tol=1e-9):
@@ -365,7 +390,6 @@ class TestSpectralYbe:
         else:
             b = braid_from_spec(int(source[-1]))
         samples = spectral_samples(20, seed)
-        expected = spectral_ybe_by_baxterize(b, samples)
         calls = []
 
         def counting_inverse(*args, **kwargs):
@@ -374,8 +398,12 @@ class TestSpectralYbe:
 
         monkeypatch.setattr(linalg, "inverse", counting_inverse)
         got = check_spectral_ybe(b, samples)
-        assert abs(got - expected) <= 1e-9 * expected + oracle_floor(b, samples)
         assert len(calls) == 1
+        if source == "violation":
+            assert_bounds_the_oracle(got, b, samples)
+        else:
+            expected = spectral_ybe_by_baxterize(b, samples)
+            assert abs(got - expected) <= 1e-9 * expected + oracle_floor(b, samples)
 
     @pytest.mark.parametrize(
         "samples", [[(0, 1.0)], [(1.0, 0)], [(1e-200, 1e-200)], [(1.0, 1.0), (0j, 2.0)]],
@@ -400,6 +428,12 @@ class TestSpectralYbe:
 
     def test_no_samples_gives_zero(self):
         assert check_spectral_ybe(diag_violation(), samples=[]) == 0.0
+        # A NaN word times the zero reach of no sample would be NaN.
+        b = TestMirrorWordsNonFinite.overflow_in_last_block(2)
+        with np.errstate(all="ignore"):
+            got = ybe_residuals(b, [], tol=0)
+        assert math.isnan(got.braid)
+        assert got.spectral == 0.0
 
     def test_zero_hecke_parameter_rejected(self):
         with pytest.raises(ValueError, match="q must be nonzero"):
@@ -413,12 +447,26 @@ class TestSpectralYbeAgainstOracle:
         b = ORACLE_BRAIDS[case]()
         samples = spectral_samples(20, 42) if sample_set == "seed42" else CORNER_SAMPLES
         got = check_spectral_ybe(b, samples=samples)
+        if case in KERNEL_ROUTE:
+            assert_bounds_the_oracle(got, b, samples)
+            return
         expected = spectral_ybe_by_baxterize(b, samples)
         # Rounding differs between the two orders of summation; beyond that
         # floor the residuals must agree to a relative 1e-9.
         assert abs(got - expected) <= 1e-9 * expected + oracle_floor(b, samples)
-        passes = not (case == "violation" or case.startswith("random"))
-        assert (got <= 1e-8) == passes
+        assert got <= 1e-8
+
+    @pytest.mark.parametrize("case", list(ALL_BRAIDS))
+    @pytest.mark.parametrize("sample_set", ["seed42", "corners"])
+    def test_kernel_route_bounds_every_sample(self, case, sample_set):
+        b = ALL_BRAIDS[case]()
+        samples = spectral_samples(20, 42) if sample_set == "seed42" else CORNER_SAMPLES
+        got = kernel_residuals(b, samples).spectral
+        if case in KERNEL_ROUTE or case.startswith("nonmaster"):
+            assert_bounds_the_oracle(got, b, samples)
+        else:
+            assert all(got >= spectral_ybe_by_baxterize(b, [sample]) for sample in samples)
+            assert got <= 1e-8
 
     @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
     def test_braid_residual_is_check_braid(self, case):
@@ -531,6 +579,7 @@ class TestMirrorWordsNonFinite:
             ybe = ybe_residuals(b, count=3, tol=0)
         assert not math.isfinite(braid)
         assert not math.isfinite(ybe.braid)
+        assert not math.isfinite(ybe.spectral)
 
 
 class TestMirrorWordsMemory:
@@ -555,7 +604,7 @@ class TestMirrorWordsMemory:
 
 
 class TestPrunedSamples:
-    """The kernel route evaluates the samples only at entries whose bound can reach the maximum.
+    """The kernel route's coefficient bound, taken at every entry of every block: none is pruned.
 
     Hecke data take the kernel route only where called for it directly, or
     where their bounds do not decide, so these tests call it or give
@@ -565,21 +614,24 @@ class TestPrunedSamples:
     @pytest.mark.parametrize("count", [1, 8, 9, 100])
     @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
     def test_equals_the_unpruned_evaluation(self, case, count):
+        # The bound taken at every entry of the whole blocks, and so at least
+        # every sample's residual at every entry.
         b = ORACLE_BRAIDS[case]()
         samples = spectral_samples(count, 42)
         got = kernel_residuals(b, samples).spectral
-        full = unpruned_spectral(samples, mirror_word_blocks(b))
-        assert abs(got - full) <= 1e-9 * full + oracle_floor(b, samples)
+        blocks = mirror_word_blocks(b)
+        assert got == pytest.approx(coefficient_bound(samples, blocks), rel=1e-12, abs=0)
+        assert got >= unpruned_spectral(samples, blocks)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_peak_memory_is_twelve_words_per_entry(self, n):
         # The block's eight words and 4 n^5 of scratch, 12 n^5 entries (the
-        # earlier kernel took 20 n^5); beyond them, R and -R^-1, their
-        # transposed copy and a gather's index (5 n^4), and one numpy ufunc
-        # buffer.
+        # earlier kernel took 20 n^5); beyond them, R and -R^-1 and their
+        # transposed copy (4 n^4), the seeds' column blocks, copied
+        # transposed (2 n^3), and one numpy ufunc buffer.
         b = random_braid(n, 40 + n)
         samples = spectral_samples(20, 42)
-        bound = 16 * (12 * n**5 + 5 * n**4) + 16 * np.getbufsize() + 2**14
+        bound = 16 * (12 * n**5 + 4 * n**4 + 2 * n**3) + 16 * np.getbufsize() + 2**14
         assert peak_bytes(lambda: ybe_residuals(b, samples)) <= bound
 
     #: Entries of the two (8, 32) blocks of n = 2 words: LARGE sets the
@@ -597,13 +649,13 @@ class TestPrunedSamples:
     @pytest.mark.parametrize(
         "large, tiny, sample, expect",
         [
-            # The NaN word leaves a finite part of the bound far below the maximum.
+            # A NaN word in the second block, after a finite maximum in the first.
             (1e3, [1e-3, 1e-3, 1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3], (2.0, 0.5), "nan"),
-            # The maximum overflows to inf first, and the NaN entry must still count.
+            # The first block's bound overflows to inf, and the NaN must still win.
             (1e307, [1e-3, 1e-3, 1e-3, np.nan, 1e-3, 1e-3, 1e-3, 1e-3], (2.0, 0.5), "nan"),
             (1e307, 1e-3, (2.0, 0.5), "inf"),
             # u^-2 overflows: the words it multiplies are zero at TINY, so
-            # its residual there is inf * 0 while its bound is small elsewhere.
+            # their terms there are inf * 0, and inf elsewhere.
             (1e3, [1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 0, 0], (1e-200, 1.0), "nan"),
         ],
         ids=["nan_word", "nan_after_overflow", "overflow", "overflowing_sample"],
@@ -620,38 +672,20 @@ class TestPrunedSamples:
         full = unpruned_spectral(samples, blocks)
         monkeypatch.setattr(baxter, "_mirror_words", crafted_kernel)
         got = ybe_residuals(diag_violation(), samples).spectral
-        assert {"nan": math.isnan, "inf": math.isinf}[expect](full)
-        assert (math.isnan(got), math.isinf(got)) == (math.isnan(full), math.isinf(full))
-
-    def test_the_nan_entry_would_be_pruned_by_its_finite_terms(self):
-        # The case "nan_word" above: without the NaN word, TINY's bound is
-        # below the residual at LARGE, so only a kept NaN bound evaluates it.
-        samples = spectral_samples(8, 42) + [(2.0, 0.5)]
-        reach = np.abs(spectral_monomials(samples)).max(axis=0)
-        blocks = self.crafted_blocks(1e3, 1e-3)
-        finite_terms = reach * np.abs(blocks[1][:, self.TINY])
-        assert finite_terms.sum() - finite_terms[3] < unpruned_spectral(samples, blocks[:1])
-
-    def test_the_entry_of_largest_bound_need_not_hold_the_maximum(self, monkeypatch):
-        # In block 0, the word (-, -, +) alone gives one entry its maximum
-        # residual, equal to its bound. At LARGE the two u^0 w^0 words nearly
-        # cancel: a bound near 200, and a residual 5% below that maximum.
-        samples = spectral_samples(9, 42)
-        maximum = 10 * np.abs(spectral_monomials(samples)[:, 6]).max()
-        blocks = self.crafted_blocks([0, 0, 100, 0, 0, 0.95 * maximum - 100, 0, 0], 1e-3)
-        blocks[0][:, 2 * self.LARGE] = [0, 0, 0, 0, 0, 0, 10, 0]
-        monkeypatch.setattr(baxter, "_mirror_words", lambda ops, k, work: blocks[k].reshape(2, 2, 2, 8, 4))
-        assert ybe_residuals(diag_violation(), samples).spectral == pytest.approx(maximum, rel=1e-12)
+        is_expected = {"nan": math.isnan, "inf": math.isinf}[expect]
+        assert is_expected(full)
+        assert is_expected(got)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_blocks(self, n):
-        # n = 1 leaves 4 complex entries of scratch, n = 2 has two chunks per block.
+        # n = 1: the scratch is 4 complex entries, the seven magnitudes and the bound.
         b = BraidData(1j, 3, [[2 + 1j]]) if n == 1 else random_braid(2, 5)
         for count in (1, 20):
             samples = spectral_samples(count, 7)
-            full = unpruned_spectral(samples, mirror_word_blocks(b))
+            blocks = mirror_word_blocks(b)
             got = ybe_residuals(b, samples).spectral
-            assert abs(got - full) <= 1e-9 * full + oracle_floor(b, samples)
+            assert got == pytest.approx(coefficient_bound(samples, blocks), rel=1e-12, abs=0)
+            assert got >= unpruned_spectral(samples, blocks)
 
 
 def kernel_counter(monkeypatch):
@@ -709,7 +743,8 @@ class TestHeckeRoute:
         passes = not case.startswith("nonmaster")
         assert (got.spectral <= 1e-8) == (kernel.spectral <= 1e-8) == passes
         if not passes:
-            assert abs(got.spectral - kernel.spectral) <= 1e-12 * kernel.spectral
+            # The kernel's value bounds every sample's residual, and J is that residual to 1e-12.
+            assert got.spectral <= kernel.spectral <= 5 * got.spectral
 
     def test_one_inverse_whatever_the_sample_count(self, monkeypatch):
         b = braid_from_spec(6)

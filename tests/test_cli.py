@@ -808,6 +808,7 @@ def inputs(tmp_path_factory):
     dump("ansatz.json", ansatz.to_dict())
     dump("u2a.json", fixture_u2_ansatz().to_dict())
     dump("braid.json", braid_from_tl(build_local_generator(ansatz), ansatz.alpha).to_dict())
+    dump("generic.json", BRAID_DOCS["generic_n3"])
     dump("f2.json", matrix_to_dict(fourier(2)))
     dump("eye.json", matrix_to_dict(np.eye(2)))
     dump("h0.json", matrix_to_dict(h0()))
@@ -862,6 +863,8 @@ PARITY_CASES = {
     "check_hecke": "check hecke --braid {d}/braid.json",
     "check_braid": "check braid --ansatz {d}/u2a.json",
     "check_ybe": "check ybe --braid {d}/braid.json --samples 5 --seed 3",
+    # Not Hecke data, so the spectral residual comes from the two-operator kernel.
+    "check_ybe_generic": "check ybe --braid {d}/generic.json --samples 5 --seed 3",
     "check_weighted_hadamard": (
         "check weighted-hadamard --omega {d}/om.json --v 1,1,1 --w 1,1,1 --alpha 3"
     ),
