@@ -12,7 +12,8 @@ checkout) and records:
   every tl_chain op of perfbench at each seed and for every BLOCK_CASES
   entry of tests/test_tlrep.py;
 - the exit code and the sha256 of stdout and of the --out file of every
-  PARITY_CASES command of tests/test_cli.py;
+  PARITY_CASES command of tests/test_cli.py (of empty text where the
+  command wrote no file);
 - the exit code and the sha256 of stdout of each CLI call of every
   cli_roundtrip op of perfbench at each seed;
 - the spectral_worst of each `check ybe` document above, as a float hex
@@ -137,11 +138,13 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
         with redirect_stdout(stdout):
             code = lib.cli.main(argv)
             out_code = lib.cli.main(argv + ["--out", str(out_path)])
+        # A command that exits 2 writes no --out file; that is recorded as empty text.
+        out_text = out_path.read_text(encoding="utf-8") if out_path.exists() else ""
         cases[f"cli/{name}"] = [
             code,
             out_code,
             _document(stdout.getvalue(), cases, f"cli/{name}/stdout"),
-            _document(out_path.read_text(encoding="utf-8"), cases, f"cli/{name}/out"),
+            _document(out_text, cases, f"cli/{name}/out"),
         ]
     return {"tlhad": lib.tlrep.__file__, "cases": cases}
 

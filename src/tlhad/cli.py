@@ -250,7 +250,7 @@ def _braid_from_args(args) -> baxter.BraidData:
     if getattr(args, "ansatz", None) or getattr(args, "m", None):
         a = _build_ansatz(args)
         local = tlrep.build_local_generator(a, args.tol)
-        return baxter.braid_from_tl(local, a.alpha, args.tol)
+        return baxter.braid_from_tl(local, a.alpha)
     raise ValueError("need --braid or --ansatz input")
 
 

@@ -248,18 +248,18 @@ def butson_order(u: Matrix, tol: float, limit: int) -> int | None:
     return q if q <= limit else None
 
 
-def is_ghm(u: Matrix, tol: float = DEFAULT_TOL, butson_limit: int = BUTSON_SCAN_LIMIT) -> HadamardVerdict:
+def is_ghm(u: Matrix, tol: float = DEFAULT_TOL) -> HadamardVerdict:
     """Classify u as CHM / GHM / Butson in one pass.
 
     max_residual is the residual of the defining GHM identity (inf for a
     zero entry or a singular matrix, both of which force a False verdict).
-    butson_order is the minimal q <= butson_limit whose roots contain all
-    entries, reported only when u is a CHM; None otherwise.
+    butson_order is the minimal q <= BUTSON_SCAN_LIMIT whose roots contain
+    all entries, reported only when u is a CHM; None otherwise.
     """
     r_ghm = ghm_residual(u, tol)
     ghm_ok = r_ghm <= tol
     chm_ok = chm_residual(u) <= tol
-    order = butson_order(u, tol, butson_limit) if chm_ok else None
+    order = butson_order(u, tol, BUTSON_SCAN_LIMIT) if chm_ok else None
     return HadamardVerdict(chm_ok, ghm_ok, order, r_ghm)
 
 

@@ -12,8 +12,8 @@ bit-exactly through the standard json module; integer fields must be
 JSON integers. The readers raise ValueError naming the offending field.
 complex_to_json and matrix_to_dict give plain JSON values (lists of
 pairs). The one writer, iterdumps, renders a document that may also hold
-complex numpy arrays (matrix_payload gives a matrix document of that
-kind) to the same bytes as json.dumps of its list form, in pieces of a
+nonempty complex numpy vectors (matrix_payload gives a matrix document of
+that kind) to the same bytes as json.dumps of its list form, in pieces of a
 bounded number of array entries, formatting each distinct entry of an
 array once; it makes every check before its first piece.
 """
@@ -23,7 +23,6 @@ import cmath
 import itertools
 import json
 import math
-import operator
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -357,11 +356,12 @@ def iterdumps(doc) -> Iterator[str]:
 
     The pieces join to json.dumps(doc, sort_keys=True, allow_nan=False),
     with each numpy array in doc written as complex_to_json(array) would
-    be, byte for byte, without building its lists.
+    be, byte for byte, without building its lists. An array must be a
+    nonempty vector, as matrix_payload's entries are.
 
     Every check runs before the first piece is made: a TypeError for an
-    object that is neither JSON nor a numpy array, a ValueError for a
-    non-finite value, array entries included. So a caller that writes
+    object that is neither JSON nor a nonempty numpy vector, a ValueError
+    for a non-finite value, array entries included. So a caller that writes
     the pieces as they come has written nothing when the render fails.
     The checks build each array's table of distinct entry texts and one
     index per entry; the text itself is made a piece at a time. A
@@ -371,7 +371,7 @@ def iterdumps(doc) -> Iterator[str]:
     arrays = []
 
     def mark(obj):
-        if not isinstance(obj, np.ndarray):
+        if not (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         arrays.append(obj)
         return _ARRAY_MARK
@@ -393,7 +393,7 @@ def _entry_table(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(texts, inverse): the [re, im] text of each distinct entry of z, and
     the index of each entry's text. Raises ValueError for a non-finite entry.
     """
-    distinct, inverse = _distinct(z.reshape(-1))
+    distinct, inverse = _distinct(z)
     if not np.isfinite(distinct).all():
         raise ValueError("Out of range float values are not JSON compliant")
     rest = distinct[len(_ZERO_PAIRS) :]
@@ -402,40 +402,13 @@ def _entry_table(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _array_pieces(z: np.ndarray, texts: np.ndarray, inverse: np.ndarray) -> Iterator[str]:
-    """json.dumps(complex_to_json(z)) from z's _entry_table, _CHUNK entries a piece."""
-    shape, size = z.shape, z.size
-    if size == 0:
-        yield json.dumps(complex_to_json(z))
-        return
-    # blocks[k] entries make one list of the k-th innermost axis.
-    blocks = list(itertools.accumulate(shape[:0:-1], operator.mul))
-    for start in range(0, size, _CHUNK):
-        text = _joined(texts[inverse[start : start + _CHUNK]].tolist(), start, blocks)
-        if start == 0:
-            text = "[" * len(shape) + text
-        if start + _CHUNK >= size:
-            text += "]" * len(shape)
-        yield text
+    """json.dumps(complex_to_json(z)) of a nonempty vector z, _CHUNK entries a piece.
 
-
-def _joined(items: list[str], start: int, blocks: list[int]) -> str:
-    """The texts of entries start, start + 1, ... of an array, each after its separator.
-
-    An entry that starts k lists of the inner axes (index a multiple of
-    blocks[k - 1]) closes the k lists before it: "]" * k + ", " + "[" * k.
-    The array's first entry has no separator.
+    "[", then the texts from z's _entry_table joined by ", ", then "]".
     """
-    row = blocks[0] if blocks else start + len(items)
-    out = []
-    at, stop = start, start + len(items)
-    while at < stop:
-        if at:
-            k = sum(at % size == 0 for size in blocks)
-            out.append("]" * k + ", " + "[" * k)
-        end = min(stop, (at // row + 1) * row)
-        out.append(", ".join(items[at - start : end - start]))
-        at = end
-    return "".join(out)
+    for start in range(0, z.size, _CHUNK):
+        text = ", ".join(texts[inverse[start : start + _CHUNK]].tolist())
+        yield ("[" if start == 0 else ", ") + text + ("]" if start + _CHUNK >= z.size else "")
 
 
 def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

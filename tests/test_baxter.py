@@ -243,9 +243,19 @@ class TestBraidFromTL:
         assert hecke_residual(b) <= 1e-10
         assert b.local_dim == 3
 
-    def test_loop_violating_input_rejected(self):
-        with pytest.raises(ValueError):
-            braid_from_tl(identity(4), 3)
+    def test_hecke_residual_is_the_loop_residual_over_nu(self):
+        # H = (T^2 - nu T) / nu for any square T: identity(4) with nu = 3
+        # gives 2/3. From a = 1e4 on, rounding in the ill-conditioned f4
+        # ansatz puts the loop residual far past tol.
+        assert hecke_residual(braid_from_tl(identity(4), 3)) == pytest.approx(2 / 3, rel=1e-6)
+        for a, rel, atol in ((10, 0, 1e-12), (100, 0, 1e-12), (1e4, 1e-6, 0), (3e4, 1e-6, 0)):
+            spec = f4_master(1, 1)
+            ansatz = TLAnsatz(reconstruct_m(master_matrix(spec), f4_family(a), spec.lambdas), spec.exponents)
+            t, nu = build_local_generator(ansatz), ansatz.alpha
+            loop = max_abs(t @ t - nu * t) / abs(nu)
+            assert hecke_residual(braid_from_tl(t, nu)) == pytest.approx(loop, rel=rel, abs=atol)
+            if a >= 1e4:
+                assert loop > 1e-3
 
     def test_non_square_dimension_rejected(self):
         b = braid_from_tl(zeros(4, 4), 3)
@@ -358,16 +368,16 @@ class TestSpectralYbe:
     @pytest.mark.parametrize("n", [2, 3])
     def test_reconstructed_braids(self, n):
         b = braid_from_spec(n)
-        assert check_spectral_ybe(b, count=20, seed=42) <= 1e-8
+        assert check_spectral_ybe(b) <= 1e-8
 
     def test_fixture_u2(self):
         a = fixture_u2_ansatz()
         b = braid_from_tl(build_local_generator(a), a.alpha)
-        assert check_spectral_ybe(b, count=20, seed=42) <= 1e-8
+        assert check_spectral_ybe(b) <= 1e-8
 
     def test_deterministic(self):
         b = braid_from_spec(2)
-        assert check_spectral_ybe(b, seed=42) == check_spectral_ybe(b, seed=42)
+        assert check_spectral_ybe(b) == check_spectral_ybe(b)
 
     def test_explicit_samples(self):
         b = braid_from_spec(2)
@@ -377,7 +387,7 @@ class TestSpectralYbe:
 
     def test_braid_violation_shows_up(self):
         bad = BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
-        assert check_spectral_ybe(bad, count=5, seed=42) > 1e-3
+        assert check_spectral_ybe(bad, samples=spectral_samples(5)) > 1e-3
 
     @pytest.mark.parametrize("source", ["spec2", "spec3", "fixture_u2", "violation"])
     @pytest.mark.parametrize("seed", [42, 7])
@@ -471,7 +481,7 @@ class TestSpectralYbeAgainstOracle:
     @pytest.mark.parametrize("case", list(ORACLE_BRAIDS))
     def test_braid_residual_is_check_braid(self, case):
         b = ORACLE_BRAIDS[case]()
-        assert ybe_residuals(b, count=3).braid == check_braid(b.r_check)
+        assert ybe_residuals(b, samples=spectral_samples(3)).braid == check_braid(b.r_check)
 
     def test_one_inverse_and_kernel_calls_independent_of_samples(self, monkeypatch):
         # Not Hecke, so the spectral check takes the two-operator kernel.
@@ -496,7 +506,7 @@ class TestSpectralYbeAgainstOracle:
         for count in (5, 50):
             inverses.clear()
             kernel_calls.clear()
-            check_spectral_ybe(b, count=count)
+            check_spectral_ybe(b, samples=spectral_samples(count))
             # One inverse, then one kernel call per strand-0 column block.
             assert len(inverses) == 1
             assert [len(args[0]) for args in kernel_calls] == [2] * 6
@@ -576,7 +586,7 @@ class TestMirrorWordsNonFinite:
             assert not np.isfinite(baxter._mirror_words(ops, n - 1)).all()
             braid = check_braid(b.r_check)
             # tol = 0 admits the inverse: its condition estimate 1e120 is finite.
-            ybe = ybe_residuals(b, count=3, tol=0)
+            ybe = ybe_residuals(b, samples=spectral_samples(3), tol=0)
         assert not math.isfinite(braid)
         assert not math.isfinite(ybe.braid)
         assert not math.isfinite(ybe.spectral)
@@ -916,5 +926,5 @@ class TestEndToEnd:
         b = braid_from_tl(build_local_generator(a), a.alpha)
         assert hecke_residual(b) <= 1e-10
         assert check_braid(b.r_check) <= 1e-9
-        assert check_spectral_ybe(b, count=20, seed=42) <= 1e-8
+        assert check_spectral_ybe(b) <= 1e-8
         assert check_ybe(to_plain_r(b)) <= 1e-9

@@ -30,9 +30,9 @@ from tlhad.baxter import BraidData, braid_from_tl, q_from_nu
 import tlhad
 from tlhad import baxter, cli, linalg
 from tlhad.cli import main, read_matrix
-from tlhad.hadamard import f6_family, fourier
+from tlhad.hadamard import f4_family, f6_family, fourier
 from tlhad.linalg import as_matrix, matrix_to_dict
-from tlhad.master import f6_master, fourier_master, h0, h1, master_matrix
+from tlhad.master import f4_master, f6_master, fourier_master, h0, h1, master_matrix
 from tlhad.tlrep import (
     TLAnsatz,
     build_local_generator,
@@ -395,6 +395,57 @@ def test_ybe_of_singular_hecke_data_exits_2(capsys, workdir):
     code, out, err = run(capsys, "check", "ybe", "--braid", "braid.json")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "singular" in err
+
+
+def f4_ansatz(a):
+    """The ansatz of f4_master(1, 1) on f4_family(a); cond(M) grows as a^2 (5e7 at a = 1e4)."""
+    spec = f4_master(1, 1)
+    return TLAnsatz(reconstruct_m(master_matrix(spec), f4_family(a), spec.lambdas), spec.exponents)
+
+
+#: Every verb that takes --ansatz, in the column order of F4_SWEEP_EXITS.
+ANSATZ_VERBS = [
+    ("check", "tl"),
+    ("check", "hecke"),
+    ("check", "braid"),
+    ("check", "ybe"),
+    ("build", "braid"),
+    ("build", "rmatrix"),
+]
+
+#: Exit code of each ANSATZ_VERBS verb on f4_ansatz(a). The loop and Hecke
+#: relations hold by construction, so their residuals are rounding: past
+#: tol from a = 1e4 on, which fails the checks (exit 1) but is not bad
+#: input, and the builds never check them. At a = 1e5 M is singular at
+#: tol and the ansatz is undefined (exit 2).
+F4_SWEEP_EXITS = {
+    10: (0, 0, 0, 0, 0, 0),
+    100: (1, 0, 1, 1, 0, 0),
+    1e4: (1, 1, 1, 1, 0, 0),
+    3e4: (1, 1, 1, 1, 0, 0),
+    1e5: (2, 2, 2, 2, 2, 2),
+}
+
+
+def _ansatz_exits(capsys, workdir, ansatz):
+    (workdir / "a.json").write_text(json.dumps(ansatz.to_dict()))
+    return tuple(run(capsys, *verb, "--ansatz", "a.json")[0] for verb in ANSATZ_VERBS)
+
+
+@pytest.mark.parametrize("a", list(F4_SWEEP_EXITS))
+def test_f4_sweep_exit_codes(capsys, workdir, a):
+    assert _ansatz_exits(capsys, workdir, f4_ansatz(a)) == F4_SWEEP_EXITS[a]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_non_master_ansatz_fails_tl_braid_and_ybe_but_not_hecke(capsys, workdir, n):
+    rng = np.random.default_rng(n - 1)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    exponents = tuple(int(e) for e in rng.permutation(n) - n // 2)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    exits = _ansatz_exits(capsys, workdir, TLAnsatz(m, exponents, v=v, w=w))
+    assert exits[:4] == (1, 0, 1, 1)
 
 
 class TestBuild:
@@ -824,6 +875,7 @@ def inputs(tmp_path_factory):
     dump("f6a.json", TLAnsatz(m6, spec6.exponents).to_dict())
     signed = np.array([[complex(1, -0.0), complex(-0.0, 0.0)], [complex(0.0, -0.0), -1]])
     dump("zeros.json", matrix_to_dict(signed))
+    dump("f4a1e4.json", f4_ansatz(1e4).to_dict())
     return d
 
 
@@ -852,6 +904,8 @@ PARITY_CASES = {
     "build_braid_f6": "build braid --ansatz {d}/f6a.json",
     "build_tl_local_signed_zeros": "build tl-local --m {d}/zeros.json --exponents 0,1",
     "build_braid": "build braid --ansatz {d}/ansatz.json",
+    # Ill-conditioned but well formed: rounding breaks the loop relation past tol.
+    "build_braid_f4_ill_conditioned": "build braid --ansatz {d}/f4a1e4.json",
     "build_rmatrix": "build rmatrix --braid {d}/braid.json",
     "check_chm": "check chm --matrix {d}/h.json",
     "check_chm_fail": "check chm --matrix {d}/m.json",
@@ -861,6 +915,7 @@ PARITY_CASES = {
     "check_master4": "check master4 --p {d}/p.json --spec {d}/spec.json",
     "check_tl": "check tl --ansatz {d}/ansatz.json --sites 4",
     "check_hecke": "check hecke --braid {d}/braid.json",
+    "check_hecke_f4_ill_conditioned": "check hecke --ansatz {d}/f4a1e4.json",
     "check_braid": "check braid --ansatz {d}/u2a.json",
     "check_ybe": "check ybe --braid {d}/braid.json --samples 5 --seed 3",
     # Not Hecke data, so the spectral residual comes from the two-operator kernel.
