@@ -11,9 +11,9 @@ checkout) and records:
 - the loop and braid residuals of verify_tl, as float hex strings, for
   every tl_chain op of perfbench at each seed and for every BLOCK_CASES
   entry of tests/test_tlrep.py;
-- the exit code and the sha256 of stdout and of the --out file of every
-  PARITY_CASES command of tests/test_cli.py (of empty text where the
-  command wrote no file);
+- the exit code, the sha256 of stdout and of the --out file, and the
+  stderr text of every PARITY_CASES command of tests/test_cli.py (the
+  --out file is empty text where the command wrote none);
 - the exit code and the sha256 of stdout of each CLI call of every
   cli_roundtrip op of perfbench at each seed;
 - the spectral_worst of each `check ybe` document above, as a float hex
@@ -134,8 +134,8 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
     for name, argv in sorted(test_cli.PARITY_CASES.items()):
         argv = argv.format(d=inputs).split()
         out_path = workdir / f"{name}.out.json"
-        stdout = io.StringIO()
-        with redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
             code = lib.cli.main(argv)
             out_code = lib.cli.main(argv + ["--out", str(out_path)])
         # A command that exits 2 writes no --out file; that is recorded as empty text.
@@ -145,6 +145,7 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
             out_code,
             _document(stdout.getvalue(), cases, f"cli/{name}/stdout"),
             _document(out_text, cases, f"cli/{name}/out"),
+            stderr.getvalue(),
         ]
     return {"tlhad": lib.tlrep.__file__, "cases": cases}
 

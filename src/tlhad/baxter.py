@@ -103,15 +103,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BraidData:
-    """Hecke generator R_check with its loop factor nu and parameter q."""
+    """Hecke generator R_check with its parameter q; the loop factor is (q + 1/q)^2."""
 
     q: complex
-    nu: complex
     r_check: Matrix
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", complex(self.q))
-        object.__setattr__(self, "nu", complex(self.nu))
         if self.q == 0:
             raise ValueError("Hecke parameter q must be nonzero")
         object.__setattr__(self, "r_check", linalg.as_matrix(self.r_check))
@@ -122,20 +120,13 @@ class BraidData:
         return linalg.local_dim(self.r_check, "braid generator")
 
     def to_dict(self) -> dict:
-        return {
-            "q": linalg.complex_to_json(self.q),
-            "nu": linalg.complex_to_json(self.nu),
-            "r_check": linalg.matrix_to_dict(self.r_check),
-        }
+        return {"q": linalg.complex_to_json(self.q), "r_check": linalg.matrix_to_dict(self.r_check)}
 
     @staticmethod
     def from_dict(data: dict) -> "BraidData":
-        q, nu, r_check = linalg.json_fields(data, "braid", "q", "nu", "r_check")
-        return BraidData(
-            linalg.json_complex(q, "q"),
-            linalg.json_complex(nu, "nu"),
-            linalg.matrix_from_dict(r_check),
-        )
+        """Read a braid document; other keys, such as the nu of older files, are ignored."""
+        q, r_check = linalg.json_fields(data, "braid", "q", "r_check")
+        return BraidData(linalg.json_complex(q, "q"), linalg.matrix_from_dict(r_check))
 
 
 def q_from_nu(nu: complex) -> complex:
@@ -161,8 +152,7 @@ def braid_from_tl(t_local: Matrix, nu: complex) -> BraidData:
     dim = linalg._require_square(t_local, "local generator")
     nu = complex(nu)
     q = q_from_nu(nu)
-    r_check = q * linalg.identity(dim) - t_local / cmath.sqrt(nu)
-    return BraidData(q, nu, r_check)
+    return BraidData(q, q * linalg.identity(dim) - t_local / cmath.sqrt(nu))
 
 
 def _hecke_defect(b: BraidData) -> np.ndarray:
@@ -260,7 +250,7 @@ def _braid_block(words: np.ndarray, work: np.ndarray) -> float:
     return np.abs(d, out=mag).max()
 
 
-def check_braid(r_check: Matrix, n: int | None = None) -> float:
+def check_braid(r_check: Matrix) -> float:
     """Constant braided Yang-Baxter residual on three strands.
 
     Returns max |R12 R23 R12 - R23 R12 R23| with R12 = R_check (x) I and
@@ -268,7 +258,7 @@ def check_braid(r_check: Matrix, n: int | None = None) -> float:
     word D_+++ of _mirror_words. R_check need not be invertible.
     """
     r_check = linalg.as_matrix(r_check)
-    n = linalg.local_dim(r_check, "braid generator", n)
+    n = linalg.local_dim(r_check, "braid generator")
     # A fresh C-ordered stack, as in ybe_residuals, so the products match.
     ops = np.stack((r_check,))
     work = _workspace(ops)
@@ -329,7 +319,7 @@ def _hecke_bounds(
             return None
         n = b.local_dim
         r, delta = b.r_check, b.q - 1 / b.q
-        braid = check_braid(r, n)
+        braid = check_braid(r)
         # -Y = R - delta I - R^-1, which has the magnitudes of Y.
         y = ops[1] + r
         y.flat[:: n * n + 1] -= delta
@@ -470,7 +460,7 @@ def to_plain_r(b: BraidData) -> Matrix:
     return flip_operator(b.local_dim) @ b.r_check
 
 
-def check_ybe(r: Matrix, n: int | None = None) -> float:
+def check_ybe(r: Matrix) -> float:
     """Constant Yang-Baxter residual of the plain R-matrix r.
 
     R12 R13 R23 = R23 R13 R12 holds exactly when R_check = Pi @ r
@@ -478,5 +468,4 @@ def check_ybe(r: Matrix, n: int | None = None) -> float:
     permutation of entries, so this is check_braid(Pi @ r).
     """
     r = linalg.as_matrix(r)
-    n = linalg.local_dim(r, "R-matrix", n)
-    return check_braid(flip_operator(n) @ r, n)
+    return check_braid(flip_operator(linalg.local_dim(r, "R-matrix")) @ r)

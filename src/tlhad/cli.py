@@ -262,7 +262,6 @@ def _check_hecke(args) -> tuple[dict, bool]:
         "check": "hecke",
         "ok": ok,
         "q": linalg.complex_to_json(b.q),
-        "nu": linalg.complex_to_json(b.nu),
         "hecke_residual": residual,
         "tol": args.tol,
     }
@@ -293,7 +292,6 @@ def _check_ybe(args) -> tuple[dict, bool]:
         "check": "ybe",
         "ok": ok,
         "q": linalg.complex_to_json(b.q),
-        "nu": linalg.complex_to_json(b.nu),
         "braid_residual": braid_residual,
         "spectral_worst": spectral_worst,
         "samples": linalg.complex_to_json(samples),
@@ -307,13 +305,12 @@ def _check_weighted_hadamard(args) -> tuple[dict, bool]:
     omega = read_matrix(args.omega)
     v = _parse_complex_csv(args.v)
     w = _parse_complex_csv(args.w)
-    alpha = _parse_complex(args.alpha)
-    result = tlrep.weighted_hadamard_check(omega, v, w, alpha, args.tol)
+    result = tlrep.weighted_hadamard_check(omega, v, w, args.tol)
     payload = {
         "check": "weighted-hadamard",
         "ok": result.ok,
         "residual": result.max_residual,
-        "alpha": linalg.complex_to_json(alpha),
+        "alpha": linalg.complex_to_json(tlrep.weight_overlap(v, w)),
         "tol": args.tol,
     }
     return payload, result.ok
@@ -346,13 +343,7 @@ def _build_tl_embedded(args) -> tuple[dict, bool]:
 
 def _build_braid(args) -> tuple[dict, bool]:
     b = _braid_from_args(args)
-    payload = {
-        "q": linalg.complex_to_json(b.q),
-        "nu": linalg.complex_to_json(b.nu),
-        "r_check": linalg.matrix_payload(b.r_check),
-        "hecke_residual": baxter.hecke_residual(b),
-    }
-    return payload, True
+    return {"q": linalg.complex_to_json(b.q), "r_check": linalg.matrix_payload(b.r_check)}, True
 
 
 def _build_rmatrix(args) -> tuple[dict, bool]:
@@ -478,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--omega", required=True)
     sub.add_argument("--v", required=True, help="comma-separated complex weights")
     sub.add_argument("--w", required=True, help="comma-separated complex weights")
-    sub.add_argument("--alpha", required=True)
 
     def ansatz_flags(sub):
         sub.add_argument("--ansatz", help="ansatz JSON path")

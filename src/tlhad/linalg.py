@@ -145,18 +145,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
-def local_dim(op: Matrix, what: str = "operator", n: int | None = None) -> int:
+def local_dim(op: Matrix, what: str = "operator") -> int:
     """The local dimension n of a square n^2 x n^2 operator on two sites.
 
-    Raises ValueError when op is not square, when its size is not a
-    perfect square, or when a given n disagrees with it.
+    Raises ValueError when op is not square or its size is not a perfect square.
     """
     dim = _require_square(op, what)
     root = math.isqrt(dim)
     if root * root != dim:
         raise ValueError(f"{what} dimension {dim} is not a perfect square")
-    if n is not None and n != root:
-        raise ValueError(f"local dimension {n} inconsistent with {what} size {dim}")
     return root
 
 

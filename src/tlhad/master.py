@@ -31,6 +31,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -73,8 +74,7 @@ class MasterSpec:
 
     Construction rejects degenerate data: zero or (numerically) repeated
     eigenvalues, and negative or repeated exponents. Ordering of both
-    sequences is significant and preserved; normalized() returns the
-    shift-to-zero, sorted-ascending form.
+    sequences is significant and preserved.
     """
 
     lambdas: tuple[complex, ...]
@@ -108,15 +108,6 @@ class MasterSpec:
     @property
     def size(self) -> int:
         return len(self.lambdas)
-
-    def normalized(self) -> "MasterSpec":
-        """Shift exponents so the smallest is 0, then sort both sequences by exponent."""
-        base = min(self.exponents)
-        order = sorted(range(self.size), key=lambda i: self.exponents[i])
-        return MasterSpec(
-            tuple(self.lambdas[i] for i in order),
-            tuple(self.exponents[i] - base for i in order),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -218,18 +209,42 @@ class PigeonholeObstruction:
     distinct_rows: int
 
 
-def power_table(base, exponents) -> np.ndarray:
-    """table[..., a] = base[...] ** n_a for every exponent n_a, in complex128.
+#: numpy's complex `**` multiplies out integer powers below this exponent
+#: and takes exp(n log z) from it on: (-1)^(10^7 + 1) comes out 1.4e-9 off.
+_SQUARING_FROM = 100
 
+
+def _power_by_squaring(squares: list[np.ndarray], k: int) -> np.ndarray:
+    """z^k for an int k >= 1 by tlrep._matrix_power's ladder; squares = [z, z^2, z^4, ...] grows."""
+    result = None
+    for j in range(k.bit_length()):
+        if j == len(squares):
+            squares.append(squares[-1] * squares[-1])
+        if k >> j & 1:
+            result = squares[j] if result is None else result * squares[j]
+    return result
+
+
+def power_table(base, exponents) -> np.ndarray:
+    """table[..., a] = base[...] ** n_a for every integer exponent n_a, in complex128.
+
+    Below |n_a| = 100 the power is numpy's `**`; from there on it is made
+    by repeated squaring on the Python int, so a power of -1 or 1j is
+    exact at any exponent, and a negative exponent gives the reciprocal.
     Raises ValueError when a power is not finite, so an overflow never
     reaches a residual as inf or nan.
     """
-    try:
-        exps = np.asarray(exponents, dtype=np.float64)
-    except OverflowError as exc:
-        raise ValueError("exponent beyond the floating-point range") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = np.asarray(base, dtype=np.complex128)[..., None] ** exps
+    # A trailing axis, as numpy rounds 0-d complex products unlike array ones.
+    base = np.asarray(base, dtype=np.complex128)[..., None]
+    exponents = [operator.index(e) for e in exponents]
+    small = [e if abs(e) < _SQUARING_FROM else 0 for e in exponents]
+    large = [a for a, e in enumerate(exponents) if abs(e) >= _SQUARING_FROM]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = base ** np.asarray(small, dtype=np.float64)
+        squares = [base]
+        for a in large:
+            power = _power_by_squaring(squares, abs(exponents[a]))
+            table[..., a : a + 1] = power if exponents[a] > 0 else 1 / power
     if not np.isfinite(table).all():
         raise ValueError("an eigenvalue power overflows the floating-point range")
     return table
@@ -258,7 +273,8 @@ def check_master_condition(spec: MasterSpec, tol: float = DEFAULT_TOL) -> Master
 def fourier_master(n: int, ell: int = 1) -> MasterSpec:
     """Fourier identification: lambda_a = w^(ell*(a-1)), n_b = b-1.
 
-    master_matrix of the result equals fourier(n, ell) exactly.
+    master_matrix of the result agrees with fourier(n, ell) to rounding, not
+    to the bit: by at most 8.0e-13 over n <= 27 and every coprime ell.
     """
     if n < 1:
         raise ValueError("size must be a positive integer")

@@ -58,6 +58,7 @@ __all__ = [
     "check_master4",
     "eigenvector_condition",
     "reconstruct_m",
+    "weight_overlap",
     "weighted_hadamard_check",
     "fixture_u1",
     "fixture_u2",
@@ -105,7 +106,7 @@ class TLAnsatz:
 
     @property
     def alpha(self) -> complex:
-        return sum((va * wa for va, wa in zip(self.v, self.w)), complex(0.0))
+        return weight_overlap(self.v, self.w)
 
     def to_dict(self) -> dict:
         return {
@@ -465,14 +466,19 @@ def reconstruct_m(omega: Matrix, h: Matrix, lambdas: Sequence[complex]) -> Matri
     return q @ linalg.diag(lams) @ linalg.inverse(q)
 
 
+def weight_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
+    """alpha = sum_a v_a w_a, the loop factor of the weighted ansatz."""
+    return sum((va * wa for va, wa in zip(v, w)), complex(0.0))
+
+
 def weighted_hadamard_check(
-    omega: Matrix,
-    v: Sequence[complex],
-    w: Sequence[complex],
-    alpha: complex,
-    tol: float = DEFAULT_TOL,
+    omega: Matrix, v: Sequence[complex], w: Sequence[complex], tol: float = DEFAULT_TOL
 ) -> Comparison:
-    """Residual of the weighted Hadamard identity Omega^{-H} V W = alpha (Omega^-1)^t."""
+    """Residual of the weighted Hadamard identity Omega^{-H} V W = alpha (Omega^-1)^t.
+
+    alpha is weight_overlap(v, w): the diagonal of Omega^{-H} V W Omega^t
+    is sum_a v_a w_a, so no other alpha can pass.
+    """
     omega = linalg.as_matrix(omega)
     n = linalg._require_square(omega, "master matrix")
     if len(v) != n or len(w) != n:
@@ -481,7 +487,7 @@ def weighted_hadamard_check(
             f"got {len(v)} and {len(w)}"
         )
     lhs = linalg.hadamard_inverse(omega) @ linalg.diag(v) @ linalg.diag(w)
-    rhs = complex(alpha) * linalg.inverse(omega, tol).T
+    rhs = weight_overlap(v, w) * linalg.inverse(omega, tol).T
     residual = linalg.max_abs(lhs - rhs)
     return Comparison(residual <= tol, residual)
 

@@ -67,11 +67,11 @@ def random_braid(n, seed):
     """A generic complex R_check: invertible, neither Hecke nor a braid solution."""
     rng = np.random.default_rng(seed)
     dim = n * n
-    return BraidData(q_from_nu(3), 3, as_matrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+    return BraidData(q_from_nu(3), as_matrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
 
 
 def diag_violation():
-    return BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
+    return BraidData(q_from_nu(3), as_matrix(np.diag([1, 2, 3, 4])))
 
 
 def oracle_floor(b, samples):
@@ -239,7 +239,8 @@ class TestBraidFromTL:
     def test_fixture_u2(self):
         a = fixture_u2_ansatz()
         b = braid_from_tl(build_local_generator(a), a.alpha)
-        assert b.nu == pytest.approx(3.0)
+        # q + 1/q = sqrt(nu): the loop factor 3 is held by q alone.
+        assert (b.q + 1 / b.q) ** 2 == pytest.approx(3.0)
         assert hecke_residual(b) <= 1e-10
         assert b.local_dim == 3
 
@@ -260,7 +261,7 @@ class TestBraidFromTL:
     def test_non_square_dimension_rejected(self):
         b = braid_from_tl(zeros(4, 4), 3)
         with pytest.raises(ValueError):
-            BraidData(b.q, b.nu, zeros(6, 6)).local_dim
+            BraidData(b.q, zeros(6, 6)).local_dim
 
 
 class TestHecke:
@@ -279,8 +280,8 @@ class TestHecke:
     def test_json_round_trip(self):
         b = braid_from_spec(2)
         back = BraidData.from_dict(b.to_dict())
+        assert set(b.to_dict()) == {"q", "r_check"}
         assert abs(back.q - b.q) == 0
-        assert abs(back.nu - b.nu) == 0
         assert np.array_equal(back.r_check, b.r_check)
 
 
@@ -386,7 +387,7 @@ class TestSpectralYbe:
         assert residual <= 1e-12
 
     def test_braid_violation_shows_up(self):
-        bad = BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
+        bad = BraidData(q_from_nu(3), as_matrix(np.diag([1, 2, 3, 4])))
         assert check_spectral_ybe(bad, samples=spectral_samples(5)) > 1e-3
 
     @pytest.mark.parametrize("source", ["spec2", "spec3", "fixture_u2", "violation"])
@@ -396,7 +397,7 @@ class TestSpectralYbe:
             a = fixture_u2_ansatz()
             b = braid_from_tl(build_local_generator(a), a.alpha)
         elif source == "violation":
-            b = BraidData(q_from_nu(3), 3, as_matrix(np.diag([1, 2, 3, 4])))
+            b = BraidData(q_from_nu(3), as_matrix(np.diag([1, 2, 3, 4])))
         else:
             b = braid_from_spec(int(source[-1]))
         samples = spectral_samples(20, seed)
@@ -447,7 +448,7 @@ class TestSpectralYbe:
 
     def test_zero_hecke_parameter_rejected(self):
         with pytest.raises(ValueError, match="q must be nonzero"):
-            BraidData(0, 4, identity(4))
+            BraidData(0, identity(4))
 
 
 class TestSpectralYbeAgainstOracle:
@@ -575,7 +576,7 @@ class TestMirrorWordsNonFinite:
         # = inf - inf, and every other entry is finite (at most X^2).
         diag = np.ones(n * n)
         diag[-1] = 1e120
-        return BraidData(q_from_nu(3), 3, np.diag(diag))
+        return BraidData(q_from_nu(3), np.diag(diag))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_nan_in_the_last_block_is_not_dropped(self, n):
@@ -689,7 +690,7 @@ class TestPrunedSamples:
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_blocks(self, n):
         # n = 1: the scratch is 4 complex entries, the seven magnitudes and the bound.
-        b = BraidData(1j, 3, [[2 + 1j]]) if n == 1 else random_braid(2, 5)
+        b = BraidData(1j, [[2 + 1j]]) if n == 1 else random_braid(2, 5)
         for count in (1, 20):
             samples = spectral_samples(count, 7)
             blocks = mirror_word_blocks(b)
@@ -724,7 +725,7 @@ class TestHeckeRoute:
         h = as_matrix(rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
         eye = identity(n)
         assert baxter._strand_difference(h, n) == max_abs(kron(h, eye) - kron(eye, h))
-        hecke = baxter._hecke_defect(braid_from_spec(n) if n > 1 else BraidData(1j, 3, [[1j]]))
+        hecke = baxter._hecke_defect(braid_from_spec(n) if n > 1 else BraidData(1j, [[1j]]))
         assert baxter._strand_difference(hecke, n) == max_abs(kron(hecke, eye) - kron(eye, hecke))
 
     @pytest.mark.parametrize("case", list(HECKE_BRAIDS))
@@ -799,7 +800,7 @@ class TestHeckeRoute:
     def test_non_finite_braid_residual_falls_back(self, monkeypatch):
         # Exactly Hecke (eigenvalues q and -1/q), but q^3 overflows in the braid words.
         q = 1e120
-        b = BraidData(q, 4, np.diag([q, -1 / q, -1 / q, q]))
+        b = BraidData(q, np.diag([q, -1 / q, -1 / q, q]))
         samples = spectral_samples(3, 42)
         assert hecke_residual(b) == 0
         with np.errstate(all="ignore"):
@@ -824,7 +825,7 @@ class TestHeckeRoute:
     def test_singular_hecke_data_is_refused(self):
         # Exactly Hecke, but max|R| * max|R^-1| = 1e12 reaches 1 / tol.
         q = 1e-6
-        b = BraidData(q, 4, np.diag([q, -1 / q, -1 / q, q]))
+        b = BraidData(q, np.diag([q, -1 / q, -1 / q, q]))
         assert hecke_residual(b) == 0
         with pytest.raises(linalg.SingularMatrixError):
             ybe_residuals(b, spectral_samples(3, 42))
@@ -832,7 +833,7 @@ class TestHeckeRoute:
 
 class TestPlainYbe:
     def test_flip_braid_gives_identity_r(self):
-        b = BraidData(1, 4, flip_operator(2))
+        b = BraidData(1, flip_operator(2))
         r = to_plain_r(b)
         np.testing.assert_allclose(r, identity(4), rtol=0, atol=0)
         assert check_ybe(r) <= 1e-15
@@ -858,7 +859,7 @@ class TestPlainYbe:
             proj = vmat @ inverse(as_matrix(wmat @ vmat)) @ wmat
             q = q_from_nu(3)
             r_check = as_matrix(q * identity(4) - (q + 1 / q) * proj)
-            b = BraidData(q, 3, r_check)
+            b = BraidData(q, r_check)
             assert hecke_residual(b) <= 1e-10
             braid = check_braid(r_check)
             ybe = check_ybe(to_plain_r(b))

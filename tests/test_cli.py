@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlhad.baxter import BraidData, braid_from_tl, q_from_nu
+from tlhad.baxter import BraidData, braid_from_tl
 import tlhad
 from tlhad import baxter, cli, linalg
 from tlhad.cli import main, read_matrix
@@ -67,7 +67,7 @@ CHM = ["check", "chm", "--matrix"]
 SCALAR = {"rows": 1, "cols": 1, "entries": [[1, 0]]}
 MATRIX = {"rows": 2, "cols": 2, "entries": [[1, 0], [1, 0], [1, 0], [-1, 0]]}
 ANSATZ = {"m": MATRIX, "exponents": [0, 1], "sites": 3}
-BRAID = {"q": [0.5, 0.5], "nu": [2, 0], "r_check": matrix_to_dict(np.eye(4))}
+BRAID = {"q": [0.5, 0.5], "r_check": matrix_to_dict(np.eye(4))}
 OVERFLOWING_SPEC = {"lambdas": [[1e308, 0], [1, 0]], "exponents": [0, 2]}
 HUGE_EXPONENTS = ["--exponents", "0,100000000000"]
 # Sizes whose arrays (2.8 PiB of samples, 142 PiB of Fourier matrix) numpy
@@ -320,16 +320,17 @@ class TestCheck:
             "om.json",
             f"--v={w.real}+{w.imag}j,1,1",
             f"--w={w2.real}{w2.imag}j,1,1",
-            "--alpha",
-            "3",
         )
         assert code == 0 and payload["ok"] is True
+        # alpha is the weight overlap w w^2 + 1 + 1.
+        assert payload["alpha"] == linalg.complex_to_json(w * w2 + 2)
 
 
 def _braid_docs():
     rng = np.random.default_rng(5)
     generic = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    docs = {"generic_n3": BraidData(q_from_nu(3), 3, as_matrix(generic)).to_dict()}
+    # R = q I - T / sqrt(3) of a random T, whose T^2 is not 3 T: neither Hecke nor braided.
+    docs = {"generic_n3": braid_from_tl(as_matrix(generic), 3).to_dict()}
     # Hecke data with a braid defect of order 1e5: an ansatz on a random M.
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2 * np.eye(3)
     a = TLAnsatz(m, (1, -1, 0), v=rng.normal(size=3) + 1j, w=rng.normal(size=3) - 1j)
@@ -345,6 +346,41 @@ def _braid_docs():
 
 
 BRAID_DOCS = _braid_docs()
+#: Keys that older builds wrote into braid files, with values no reader may use.
+LEGACY_KEYS = {"nu": [100.0, 0.0], "hecke_residual": 0.5}
+
+
+def legacy_braid(doc, keys=tuple(LEGACY_KEYS)):
+    """A braid document as an older build wrote it, with `keys` of LEGACY_KEYS."""
+    return doc | {key: LEGACY_KEYS[key] for key in keys}
+
+
+@pytest.mark.parametrize("keys", [("nu",), ("hecke_residual",), tuple(LEGACY_KEYS)], ids="+".join)
+@pytest.mark.parametrize("case", list(BRAID_DOCS))
+def test_legacy_braid_keys_change_no_output(capsys, workdir, case, keys):
+    (workdir / "new.json").write_text(json.dumps(BRAID_DOCS[case]))
+    (workdir / "old.json").write_text(json.dumps(legacy_braid(BRAID_DOCS[case], keys)))
+    for verb in (["check", "hecke"], ["check", "braid"], ["check", "ybe", "--samples", "5"], ["build", "rmatrix"]):
+        assert run(capsys, *verb, "--braid", "old.json") == run(capsys, *verb, "--braid", "new.json")
+
+
+def test_braid_documents_and_payloads_hold_no_nu(capsys, workdir):
+    (workdir / "a.json").write_text(json.dumps(fixture_u2_ansatz().to_dict()))
+    code, doc = run_json(capsys, "build", "braid", "--ansatz", "a.json")
+    assert code == 0 and set(doc) == {"q", "r_check"}
+    assert run(capsys, "build", "braid", "--ansatz", "a.json", "--out", "b.json")[:2] == (0, "")
+    assert json.loads((workdir / "b.json").read_text()) == doc
+    for verb in ("hecke", "ybe"):
+        code, payload = run_json(capsys, "check", verb, "--braid", "b.json")
+        assert code == 0 and "nu" not in payload and payload["q"] == doc["q"]
+
+
+def test_master_with_exponent_past_numpys_exact_powers(capsys, workdir):
+    # 1 + (-1)^(10^7 + 1) is 0 exactly; numpy's ** would miss by 1.4e-9.
+    spec = {"lambdas": [[1, 0], [-1, 0]], "exponents": [0, 10**7 + 1]}
+    (workdir / "spec.json").write_text(json.dumps(spec))
+    code, payload = run_json(capsys, "check", "master", "--spec", "spec.json")
+    assert code == 0 and payload["max_residual"] == 0.0
 
 
 @pytest.mark.parametrize("case", list(BRAID_DOCS))
@@ -390,7 +426,7 @@ def test_benchmark_ybe_checks_skip_the_two_operator_kernel(monkeypatch, tmp_path
 def test_ybe_of_singular_hecke_data_exits_2(capsys, workdir):
     # Exactly Hecke (eigenvalues q and -1/q), and max|R| * max|R^-1| = 1e12.
     q = 1e-6
-    doc = BraidData(q, 4, np.diag([q, -1 / q, -1 / q, q])).to_dict()
+    doc = BraidData(q, np.diag([q, -1 / q, -1 / q, q])).to_dict()
     (workdir / "braid.json").write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", "ybe", "--braid", "braid.json")
     assert (code, out) == (2, "")
@@ -504,9 +540,10 @@ class TestBuild:
         code, payload = run_json(
             capsys, "build", "braid", "--ansatz", "u2a.json"
         )
-        assert code == 0
-        assert payload["hecke_residual"] <= 1e-10
+        assert code == 0 and set(payload) == {"q", "r_check"}
         (workdir / "braid.json").write_text(json.dumps(payload))
+        code, hecke = run_json(capsys, "check", "hecke", "--braid", "braid.json")
+        assert code == 0 and hecke["hecke_residual"] <= 1e-10
         code, payload = run_json(
             capsys, "build", "rmatrix", "--braid", "braid.json"
         )
@@ -678,15 +715,13 @@ class TestErrors:
             (["check", "tl", "--ansatz"], ANSATZ | {"v": [[None, 0], [1, 0]]}, "v 0"),
             (["check", "tl", "--ansatz"], ANSATZ | {"v": [["1", 0], [1, 0]]}, "v 0"),
             (["check", "hecke", "--braid"], BRAID | {"q": [None, 0]}, "q must"),
-            (["check", "hecke", "--braid"], BRAID | {"nu": [2, "0"]}, "nu must"),
             (["check", "hecke", "--braid"], BRAID | {"q": [float("nan"), 0]}, "q must"),
             (["check", "hecke", "--braid"], BRAID | {"q": [0, 0]}, "q must"),
             (["gen", "nest", "--stages"], {"stages": [{"p": 2, "g": [None, 0]}]}, "stage 0 g"),
             (["gen", "nest", "--stages"], {"stages": [{"p": 2.5}]}, "stage 0 p"),
             (CHM, SCALAR | {"entries": [[1e308, 1e308]]}, "JSON"),
             (
-                ["check", "weighted-hadamard", "--v", "1,nan", "--w", "1,1", "--alpha", "2"]
-                + ["--omega"],
+                ["check", "weighted-hadamard", "--v", "1,nan", "--w", "1,1", "--omega"],
                 MATRIX,
                 "nan",
             ),
@@ -714,8 +749,7 @@ class TestErrors:
                 "finite",
             ),
             (
-                ["check", "weighted-hadamard", "--v", "1,1", "--w", "1,1,1", "--alpha", "3"]
-                + ["--omega"],
+                ["check", "weighted-hadamard", "--v", "1,1", "--w", "1,1,1", "--omega"],
                 MATRIX,
                 "need 2 entries",
             ),
@@ -734,7 +768,7 @@ class TestErrors:
             ),
         ],
         ids=[
-            "ansatz_null_weight", "ansatz_string_weight", "braid_null_q", "braid_string_nu",
+            "ansatz_null_weight", "ansatz_string_weight", "braid_null_q",
             "braid_nan_q", "braid_zero_q", "nesting_null_g", "nesting_fractional_p",
             "overflowing_residual", "nan_weight_flag", "fractional_exponent",
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
@@ -860,6 +894,7 @@ def inputs(tmp_path_factory):
     dump("u2a.json", fixture_u2_ansatz().to_dict())
     dump("braid.json", braid_from_tl(build_local_generator(ansatz), ansatz.alpha).to_dict())
     dump("generic.json", BRAID_DOCS["generic_n3"])
+    dump("legacy_braid.json", legacy_braid(BRAID_DOCS["fixture_u2"]))
     dump("f2.json", matrix_to_dict(fourier(2)))
     dump("eye.json", matrix_to_dict(np.eye(2)))
     dump("h0.json", matrix_to_dict(h0()))
@@ -920,9 +955,14 @@ PARITY_CASES = {
     "check_ybe": "check ybe --braid {d}/braid.json --samples 5 --seed 3",
     # Not Hecke data, so the spectral residual comes from the two-operator kernel.
     "check_ybe_generic": "check ybe --braid {d}/generic.json --samples 5 --seed 3",
-    "check_weighted_hadamard": (
-        "check weighted-hadamard --omega {d}/om.json --v 1,1,1 --w 1,1,1 --alpha 3"
+    "check_weighted_hadamard": "check weighted-hadamard --omega {d}/om.json --v 1,1,1 --w 1,1,1",
+    # The README example: the U1 weights, whose overlap w w^2 + 2 is 3.
+    "check_weighted_hadamard_u1": (
+        "check weighted-hadamard --omega {d}/om.json"
+        " --v=-0.5+0.8660254037844387j,1,1 --w=-0.5-0.8660254037844387j,1,1"
     ),
+    # A braid file of an older build: nu and hecke_residual are ignored.
+    "check_hecke_legacy_braid": "check hecke --braid {d}/legacy_braid.json",
     "search_found": "search master-rep --matrix {d}/h.json --exponent-bound 4 --root-order-bound 6",
     "search_not_found": "search master-rep --matrix {d}/h0.json",
 }
@@ -1203,7 +1243,7 @@ LEAVES = dict(_leaves(cli._build_parser()))
 
 def test_each_flag_sits_only_where_its_handler_reads_it():
     assert len(LEAVES) == 28
-    assert sum(map(len, LEAVES.values())) == 108
+    assert sum(map(len, LEAVES.values())) == 107
     assert all("--out" in flags for flags in LEAVES.values())
 
     def having(flag):
@@ -1277,7 +1317,7 @@ VALID_FLAGS = {
     "check hecke": "--braid b.json",
     "check braid": "--ansatz a.json",
     "check ybe": "--braid b.json --samples 5 --seed 3",
-    "check weighted-hadamard": "--omega o.json --v 1,1j --w 1,1j --alpha 2",
+    "check weighted-hadamard": "--omega o.json --v 1,1j --w 1,1j",
     "build tl-local": "--m m.json --exponents 0,1 --v 1,1 --w 1,1",
     "build tl-embedded": "--ansatz a.json --sites 4 --site 2",
     "build braid": "--ansatz a.json --tol 1e-8",
@@ -1302,6 +1342,8 @@ USAGE_ERRORS = {
 UNKNOWN_FLAGS = {
     "check_master_seed": "check master --spec s.json --seed 3",
     "gen_fourier_tol": "gen fourier --n 3 --tol 1e-3",
+    # alpha is derived from the weights, so check weighted-hadamard takes no --alpha.
+    "weighted_hadamard_alpha": "check weighted-hadamard --omega o.json --v 1,1 --w 1,1 --alpha 3",
 }
 
 

@@ -183,13 +183,10 @@ class TestArithmetic:
 
     def test_local_dim(self):
         assert local_dim(identity(9)) == 3
-        assert local_dim(identity(9), "generator", 3) == 3
         with pytest.raises(ValueError, match="generator must be square"):
             local_dim(zeros(4, 9), "generator")
         with pytest.raises(ValueError, match="generator dimension 8 is not a perfect square"):
             local_dim(identity(8), "generator")
-        with pytest.raises(ValueError, match="local dimension 2 inconsistent"):
-            local_dim(identity(9), "generator", 2)
 
     def test_dagger(self):
         m = as_matrix([[1 + 2j, 3], [0, -1j]])

@@ -45,6 +45,7 @@ from tlhad.master import (
     master_polynomial_eval,
     nest,
     pigeonhole_obstruction,
+    power_table,
     search_master_representation,
 )
 
@@ -79,12 +80,6 @@ class TestMasterSpec:
         with pytest.raises(ValueError):
             MasterSpec((1, -1, 1j), (0, 1))
 
-    def test_normalized_shifts_and_sorts(self):
-        spec = MasterSpec((1j, 1), (7, 3))
-        norm = spec.normalized()
-        assert norm.exponents == (0, 4)
-        assert norm.lambdas == (1 + 0j, 1j)
-
     def test_json_round_trip(self):
         spec = f6_master(2, 1, 1)
         back = MasterSpec.from_dict(spec.to_dict())
@@ -109,6 +104,27 @@ class TestMasterMatrix:
         np.testing.assert_allclose(
             master_matrix(fourier_master(3)), fourier(3), rtol=0, atol=1e-14
         )
+
+    def test_large_exponents_are_exact(self):
+        # From exponent 100 on numpy's `**` would take exp(n log z).
+        assert np.array_equal(master_matrix(MasterSpec((1, -1), (0, 2**63 + 1))), [[1, 1], [1, -1]])
+        # An exponent past the float range, a negative one and an even one.
+        table = power_table([-1, 1j], [10**400 + 1, -(10**7 + 1), 2000])
+        assert np.array_equal(table, [[-1, -1, 1], [1j, -1j, 1]])
+        assert np.array_equal(power_table(-1, np.arange(98, 102)), [1, -1, 1, -1])
+        check = check_master_condition(MasterSpec((1, -1), (0, 10**7 + 1)))
+        assert check.ok and check.max_residual == 0.0
+
+    def test_small_exponents_are_numpys_power(self):
+        z = np.array([0.5 + 0.25j, -1, 1j, unit_root(2, 7), 1.3 - 0.2j])
+        exponents = list(range(-99, 100))
+        assert np.array_equal(power_table(z, exponents), z[:, None] ** np.array(exponents, dtype=float))
+
+    def test_large_power_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            power_table(2, [10**400])
+        with pytest.raises(ValueError, match="overflow"):
+            power_table(0.5, [-2000])
 
     def test_entry_formula(self):
         spec = f4_master(2, 1)
@@ -239,6 +255,18 @@ class TestFourierMaster:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             fourier_master(6, ell=3)
+
+    def test_master_matrix_agrees_with_fourier_to_rounding(self):
+        # Powers of one root against one root per entry: bit-equal only at
+        # n = 1, 2 and (4, 1); the largest gap, 8.0e-13, is at n = 25.
+        gaps = {
+            (n, ell): max_abs(master_matrix(fourier_master(n, ell)) - fourier(n, ell))
+            for n in range(1, 28)
+            for ell in range(1, max(n, 2))
+            if math.gcd(ell, n) == 1
+        }
+        assert max(gaps.values()) <= 1e-12
+        assert sorted(key for key, gap in gaps.items() if gap == 0) == [(1, 1), (2, 1), (4, 1)]
 
     def test_shifted_exponents_still_pass(self):
         spec = fourier_master(4)

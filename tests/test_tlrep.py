@@ -12,6 +12,7 @@ from tlhad.hadamard import dephase, f4_family, fourier, is_ghm
 from tlhad.linalg import (
     as_matrix,
     diag,
+    hadamard_inverse,
     identity,
     inverse,
     kron,
@@ -630,28 +631,56 @@ class TestReconstructM:
         assert report.max_residual > 1e-3
 
 
+#: (omega, v, w) of each weighted Hadamard case: F2..F4 with plain weights,
+#: the U1 weights on the Fourier master matrix, and weights that fail.
+WEIGHTED_CASES = {
+    **{f"plain_f{n}": (lambda n=n: (fourier(n), (1.0,) * n, (1.0,) * n)) for n in (2, 3, 4)},
+    "u1": lambda: (
+        master_matrix(fourier_master(3)), (unit_root(1, 3), 1, 1), (unit_root(2, 3), 1, 1)
+    ),
+    "wrong": lambda: (fourier(3), (2, 1, 1), (1, 1, 1)),
+}
+
+
 class TestWeightedHadamard:
     def test_plain_weights_reduce_to_ghm(self):
         for n in (2, 3, 4):
             ones = (1.0,) * n
-            check = weighted_hadamard_check(fourier(n), ones, ones, n)
+            check = weighted_hadamard_check(fourier(n), ones, ones)
             assert check.ok, check.max_residual
 
     def test_u1_weights(self):
         w, w2 = unit_root(1, 3), unit_root(2, 3)
         om = master_matrix(fourier_master(3))
-        check = weighted_hadamard_check(om, (w, 1, 1), (w2, 1, 1), 3)
+        check = weighted_hadamard_check(om, (w, 1, 1), (w2, 1, 1))
         assert check.ok, check.max_residual
 
     def test_wrong_weights_fail(self):
-        check = weighted_hadamard_check(fourier(3), (2, 1, 1), (1, 1, 1), 4)
+        check = weighted_hadamard_check(fourier(3), (2, 1, 1), (1, 1, 1))
         assert not check.ok
 
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
-            weighted_hadamard_check(
-                as_matrix([[1, 0], [1, 1]]), (1, 1), (1, 1), 2
-            )
+            weighted_hadamard_check(as_matrix([[1, 0], [1, 1]]), (1, 1), (1, 1))
+
+    @pytest.mark.parametrize("case", WEIGHTED_CASES)
+    def test_equals_the_identity_at_alpha_the_weight_overlap(self, case):
+        # The identity with alpha given, as it was checked when alpha was an
+        # input, at alpha = sum_a v_a w_a: the same residual to the bit.
+        omega, v, w = WEIGHTED_CASES[case]()
+        alpha = sum((va * wa for va, wa in zip(v, w)), complex(0.0))
+        lhs = hadamard_inverse(omega) @ diag(v) @ diag(w)
+        residual = max_abs(lhs - alpha * inverse(omega).T)
+        assert tlrep.weight_overlap(v, w) == alpha
+        assert weighted_hadamard_check(omega, v, w) == (residual <= 1e-9, residual)
+        assert (case == "wrong") == (residual > 1e-9)
+
+    def test_no_other_alpha_can_pass(self):
+        # F2 with v = w = (1, 1): alpha = 2 is the weight overlap, and the
+        # identity at alpha = 3 misses by 0.5 on the diagonal.
+        omega = fourier(2)
+        assert weighted_hadamard_check(omega, (1, 1), (1, 1)).max_residual <= 1e-15
+        assert max_abs(hadamard_inverse(omega) - 3 * inverse(omega).T) == pytest.approx(0.5)
 
 
 def gauge(local, g):
