@@ -227,16 +227,8 @@ def _check_master4(args) -> tuple[dict, bool]:
     return payload, result.ok
 
 
-def _ansatz_from_args(args) -> tlrep.TLAnsatz:
-    a = tlrep.TLAnsatz.from_dict(_load_json(args.ansatz))
-    sites = getattr(args, "sites", None)
-    if sites is not None and sites != a.sites:
-        a = tlrep.TLAnsatz(a.m, a.exponents, a.v, a.w, sites)
-    return a
-
-
 def _check_tl(args) -> tuple[dict, bool]:
-    a = _ansatz_from_args(args)
+    a = _build_ansatz(args)
     report = tlrep.verify_tl(a, args.tol)
     ok = report.ok(args.tol)
     payload = {"check": "tl", "ok": ok, "tol": args.tol, "sites": a.sites}
@@ -319,15 +311,19 @@ def _check_weighted_hadamard(args) -> tuple[dict, bool]:
 # -------------------------------------------------------------- build --
 
 def _build_ansatz(args) -> tlrep.TLAnsatz:
+    # --sites, where the command takes it, overrides the ansatz file's sites.
+    sites = getattr(args, "sites", None)
     if getattr(args, "ansatz", None):
-        return _ansatz_from_args(args)
+        a = tlrep.TLAnsatz.from_dict(_load_json(args.ansatz))
+        if sites is None or sites == a.sites:
+            return a
+        return tlrep.TLAnsatz(a.m, a.exponents, a.v, a.w, sites)
     if not getattr(args, "m", None) or getattr(args, "exponents", None) is None:
         raise ValueError("need --ansatz, or --m together with --exponents")
     m = read_matrix(args.m)
     v = _parse_complex_csv(args.v) if getattr(args, "v", None) else None
     w = _parse_complex_csv(args.w) if getattr(args, "w", None) else None
-    sites = args.sites if getattr(args, "sites", None) is not None else 3
-    return tlrep.TLAnsatz(m, _parse_int_csv(args.exponents), v, w, sites)
+    return tlrep.TLAnsatz(m, _parse_int_csv(args.exponents), v, w, 3 if sites is None else sites)
 
 
 def _build_tl_local(args) -> tuple[dict, bool]:

@@ -16,10 +16,13 @@ printed one- and two-parameter families at sizes 4 and 6, and the
 block construction that glues n blocks of size m into a GHM of size
 n * m.
 
-root_phases is the one place the package decides which root of unity an
-entry is. It reads each entry as an exact reduced phase t/r; the Butson
+Two functions decide which root of unity an entry is. butson_residual
+rounds each entry's angle to the nearest q-th root, for check butson.
+root_phases reads each entry as an exact reduced phase t/r; the Butson
 order, the pigeonhole obstruction and the master search all work from
-those integers.
+those integers. The other way, apart from butson_residual's nearest
+roots, an integer phase becomes a float root only through
+linalg.unit_root.
 """
 from __future__ import annotations
 
@@ -267,17 +270,19 @@ def fourier(n: int, ell: int = 1) -> Matrix:
     """Fourier matrix F[j, k] = w^(ell*j*k) with w = exp(2*pi*i/n).
 
     ell must be coprime to n so that rows stay pairwise orthogonal;
-    the result is a Butson matrix of order n.
+    the result is a Butson matrix of order n. Entry (j, k) is the root
+    unit_root(ell * t, n) at t = j*k mod n, from a table of n roots; the
+    n x n result is allocated first, so a size beyond memory fails before
+    any root is made.
     """
     if n < 1:
         raise ValueError("Fourier size must be a positive integer")
     if math.gcd(ell, n) != 1:
         raise ValueError(f"twist {ell} must be coprime to the size {n}")
     out = linalg.zeros(n, n)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = linalg.unit_root(ell * j * k, n)
-    return out
+    roots = np.array([linalg.unit_root(ell * t, n) for t in range(n)])
+    index = np.arange(n)
+    return np.take(roots, np.outer(index, index) % n, out=out)
 
 
 def f4_family(a: complex) -> Matrix:

@@ -4,7 +4,8 @@ Row-major complex matrices (numpy complex128 arrays) with the operations
 the higher layers need: Kronecker products, the action of a two-site
 operator on two neighbouring sites of three, the local dimension n of
 an n^2 x n^2 operator, inversion by LAPACK with a condition test for
-singularity, entrywise reciprocal, and roots of unity.
+singularity, entrywise reciprocal, roots of unity from integer phases,
+and integer powers by one repeated-squaring ladder.
 
 The JSON codec of every wire format lives here too. A complex number
 travels as an [re, im] pair of finite JSON numbers, so files round-trip
@@ -123,10 +124,31 @@ def diag(values: Sequence[complex]) -> Matrix:
 
 
 def unit_root(k: int, m: int) -> complex:
-    """The root of unity exp(2*pi*i*k/m). Requires m >= 1."""
+    """The root of unity exp(2*pi*i*k/m). Requires m >= 1.
+
+    The one place where an integer phase becomes a float root: k is
+    reduced mod m on the Python int first, so any integer k gives the root
+    of its residue, bit for bit.
+    """
     if m < 1:
         raise ValueError("root order must be a positive integer")
-    return cmath.exp(2j * cmath.pi * k / m)
+    return cmath.exp(2j * cmath.pi * (k % m) / m)
+
+
+def _power_by_squaring(squares: list[np.ndarray], k: int, product: Callable) -> np.ndarray:
+    """z^k for an int k >= 1, with product(x, y) as the multiplication.
+
+    squares[j] = z^(2^j), given as [z], is extended in place, so the calls
+    for one base share their squarings. The result multiplies in z^(2^j)
+    from the lowest set bit of k up, as numpy.linalg.matrix_power does.
+    """
+    result = None
+    for j in range(k.bit_length()):
+        if j == len(squares):
+            squares.append(product(squares[-1], squares[-1]))
+        if k >> j & 1:
+            result = squares[j] if result is None else product(result, squares[j])
+    return result
 
 
 def dagger(a: Matrix) -> Matrix:

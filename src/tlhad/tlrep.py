@@ -184,13 +184,7 @@ def _matrix_power(squares: list[Matrix], k: int) -> Matrix:
         return np.eye(len(squares[0]), dtype=np.complex128)
     if k == 3:
         return _matrix_power(squares, 2) @ squares[0]
-    result = None
-    for j in range(k.bit_length()):
-        if j == len(squares):
-            squares.append(squares[-1] @ squares[-1])
-        if k >> j & 1:
-            result = squares[j] if result is None else result @ squares[j]
-    return result
+    return linalg._power_by_squaring(squares, k, np.matmul)
 
 
 def _difference_powers(m: Matrix, exponents: tuple[int, ...], tol: float) -> np.ndarray:

@@ -186,6 +186,24 @@ class TestGen:
             code, payload = run_json(capsys, *argv)
             assert code == 0 and payload["rows"] == rows
 
+    @pytest.mark.parametrize(
+        "argv,reduced",
+        [
+            ("gen fourier --n 3 --ell 100000000000000000001", "gen fourier --n 3 --ell 2"),
+            (f"gen fourier --n 3 --ell {10**400 + 1}", "gen fourier --n 3 --ell 2"),
+            (f"gen master-fourier --n 3 --ell {10**400 + 1}", "gen master-fourier --n 3 --ell 2"),
+            ("gen master-f4 --k 1 --m 100000000000000000001", "gen master-f4 --k 1 --m 1"),
+            ("gen nest --stages huge_f.json", "gen nest --stages zero_f.json"),
+        ],
+        ids=["fourier_ell_1e20", "fourier_ell_1e400", "master_fourier_ell_1e400", "master_f4_m_1e20", "nest_f_1e20"],
+    )
+    def test_an_integer_phase_acts_through_its_residue(self, capsys, workdir, argv, reduced):
+        for name, f in (("huge_f.json", 10**20), ("zero_f.json", 0)):
+            (workdir / name).write_text(json.dumps({"stages": [{"p": 2, "f": [f, 0]}]}))
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *reduced.split())
+
     def test_byte_determinism(self, capsys, workdir):
         code1, out1, _ = run(capsys, "gen", "f6", "--a", "0.5j", "--b", "3")
         code2, out2, _ = run(capsys, "gen", "f6", "--a", "0.5j", "--b", "3")
@@ -901,6 +919,7 @@ def inputs(tmp_path_factory):
     dump("p.json", matrix_to_dict(master_matrix(spec).T @ fourier(3) / 3))
     dump("om.json", matrix_to_dict(master_matrix(spec)))
     dump("stages.json", {"stages": [{"p": 2, "g": [0, 1]}, {"p": 2, "f": [1, 0]}]})
+    dump("stages_huge_f.json", {"stages": [{"p": 2, "f": [10**20, 0]}]})
     spec4 = fourier_master(4)
     m4 = reconstruct_m(master_matrix(spec4), fourier(4), spec4.lambdas)
     dump("f4s4.json", TLAnsatz(m4, spec4.exponents, sites=4).to_dict())
@@ -921,6 +940,10 @@ PARITY_CASES = {
     "gen_f6": "gen f6 --a 1j --b 2",
     "gen_dita": "gen dita --a {d}/f2.json --block {d}/h.json --block {d}/h.json",
     "gen_nest": "gen nest --stages {d}/stages.json",
+    # Integer phases past the float range act through their residues.
+    "gen_fourier_huge_ell": "gen fourier --n 3 --ell 100000000000000000001",
+    "gen_master_f4_huge_m": "gen master-f4 --k 1 --m 100000000000000000001",
+    "gen_nest_huge_f": "gen nest --stages {d}/stages_huge_f.json",
     "gen_h0": "gen h0",
     "gen_h1": "gen h1 --a 2",
     "gen_fixture_u1": "gen fixture-u1",

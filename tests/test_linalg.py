@@ -138,6 +138,10 @@ class TestUnitRoot:
         assert abs(abs(z) - 1) < 1e-12
         assert abs(z**m - 1) < 1e-9
 
+    @given(st.integers(-50, 50), st.integers(1, 24))
+    def test_any_integer_phase_gives_the_root_of_its_residue(self, k, m):
+        assert unit_root(k + 10**30 * m, m) == unit_root(k, m) == unit_root(k % m, m)
+
 
 class TestArithmetic:
     def test_kron_matches_index_formula(self):
