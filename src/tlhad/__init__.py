@@ -38,7 +38,6 @@ from .linalg import (
     SingularMatrixError,
     as_matrix,
     diag,
-    hadamard_inverse,
     identity,
     inverse,
     kron,
@@ -95,7 +94,6 @@ __all__ = [
     "kron",
     "on_strands",
     "inverse",
-    "hadamard_inverse",
     "matrix_to_dict",
     "matrix_from_dict",
     # hadamard

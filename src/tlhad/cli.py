@@ -301,7 +301,7 @@ def _check_weighted_hadamard(args) -> tuple[dict, bool]:
     payload = {
         "check": "weighted-hadamard",
         "ok": result.ok,
-        "residual": result.max_residual,
+        "residual": _finite(result.max_residual),
         "alpha": linalg.complex_to_json(tlrep.weight_overlap(v, w)),
         "tol": args.tol,
     }
@@ -520,7 +520,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             payload, ok = args.handler(args)
             _emit(payload, args.out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

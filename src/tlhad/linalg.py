@@ -4,8 +4,8 @@ Row-major complex matrices (numpy complex128 arrays) with the operations
 the higher layers need: Kronecker products, the action of a two-site
 operator on two neighbouring sites of three, the local dimension n of
 an n^2 x n^2 operator, inversion by LAPACK with a condition test for
-singularity, entrywise reciprocal, roots of unity from integer phases,
-and integer powers by one repeated-squaring ladder.
+singularity, roots of unity from integer phases, and integer powers by
+one repeated-squaring ladder.
 
 The JSON codec of every wire format lives here too. A complex number
 travels as an [re, im] pair of finite JSON numbers, so files round-trip
@@ -44,7 +44,6 @@ __all__ = [
     "local_dim",
     "on_strands",
     "inverse",
-    "hadamard_inverse",
     "json_fields",
     "json_int",
     "json_complex",
@@ -223,20 +222,6 @@ def inverse(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
             f"matrix is singular at tolerance {tol}: max|A| * max|A^-1| = {cond:.3e}"
         )
     return inv
-
-
-def hadamard_inverse(a: Matrix) -> Matrix:
-    """Entrywise reciprocal: out[i, j] = 1 / a[i, j].
-
-    Every entry must be nonzero; the error message names the first
-    offending position.
-    """
-    a = as_matrix(a)
-    zero = np.argwhere(a == 0)
-    if zero.size:
-        i, j = (int(v) for v in zero[0])
-        raise ValueError(f"entrywise inverse undefined: zero entry at ({i}, {j})")
-    return 1.0 / a
 
 
 def json_fields(data, what: str, *keys: str) -> tuple:

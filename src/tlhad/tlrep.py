@@ -97,8 +97,7 @@ class TLAnsatz:
         self.sites = int(self.sites)
         if self.sites < 2:
             raise ValueError("need at least 2 sites")
-        if self.alpha == 0:
-            raise ValueError("weight overlap alpha = sum(v_a * w_a) must be nonzero")
+        _nonzero_overlap(self.v, self.w)
 
     @property
     def n(self) -> int:
@@ -234,6 +233,10 @@ def embed(local: Matrix, i: int, sites: int, n: int) -> Matrix:
         raise ValueError(f"local generator must be {n * n}x{n * n}, got {local.shape}")
     if not 1 <= i <= sites - 1:
         raise ValueError(f"bond index {i} out of range for {sites} sites")
+    # n^sites >= 2^((bits(n) - 1) * sites): a huge sites fails before its power is formed.
+    limit = int(np.iinfo(np.intp).max)
+    if (n.bit_length() - 1) * sites >= limit.bit_length() or n**sites > limit:
+        raise ValueError(f"embedded dimension {n}**sites exceeds numpy's maximum {limit}")
     out = local
     if i > 1:
         out = linalg.kron(linalg.identity(n ** (i - 1)), out)
@@ -414,12 +417,10 @@ def eigenvector_condition(
 ) -> bool:
     """Admissibility of an eigenvector matrix P against a master matrix Omega.
 
-    Plain form: H = Omega^{-H} @ P must be a generalized Hadamard matrix,
-    cross-checked against the raw product condition
-    (P^-1 Omega^t)[i, u] * (Omega^{-H} P)[u, i] = 1 for all i, u.
-
-    Weighted form (v and w both given): checks the twisted product
-    (P^-1 V Omega^t)[i, u] * (Omega^{-H} W P)[u, i] = 1 only.
+    H = Omega^{o-1} W P must be a GHM (hadamard.ghm_residual), with
+    Omega^{o-1} the entrywise reciprocal and W = diag(w), w = 1 in the
+    plain form. The weighted form (v and w both given) also needs
+    max|v_a w_a - 1| <= tol. A zero entry of Omega raises ValueError.
     """
     p = linalg.as_matrix(p)
     omega = linalg.as_matrix(omega)
@@ -428,16 +429,15 @@ def eigenvector_condition(
         raise ValueError(f"shape mismatch: P {p.shape} vs Omega {omega.shape}")
     if (v is None) != (w is None):
         raise ValueError("weighted form needs both v and w")
-    pinv = linalg.inverse(p, tol)
-    omega_hinv = linalg.hadamard_inverse(omega)
+    if not omega.all():
+        i, j = np.argwhere(omega == 0)[0]
+        raise ValueError(f"Omega has a zero entry at ({i}, {j})")
+    scale, normalisation = np.ones(n), 0.0
     if v is not None:
-        left = pinv @ linalg.diag(v) @ omega.T
-        right = omega_hinv @ linalg.diag(w) @ p
-        return linalg.max_abs(left * right.T - 1.0) <= tol
-    h = omega_hinv @ p
-    left = pinv @ omega.T
-    raw_ok = linalg.max_abs(left * h.T - 1.0) <= tol
-    return bool(hadamard.is_ghm(h, tol).is_ghm and raw_ok)
+        _require_weights(n, v, w)
+        scale = np.asarray(w, dtype=np.complex128)
+        normalisation = np.abs(np.asarray(v) * scale - 1).max()
+    return _worst(normalisation, hadamard.ghm_residual((scale / omega) @ p, tol)) <= tol
 
 
 def reconstruct_m(omega: Matrix, h: Matrix, lambdas: Sequence[complex]) -> Matrix:
@@ -465,24 +465,40 @@ def weight_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
     return sum((va * wa for va, wa in zip(v, w)), complex(0.0))
 
 
-def weighted_hadamard_check(
-    omega: Matrix, v: Sequence[complex], w: Sequence[complex], tol: float = DEFAULT_TOL
-) -> Comparison:
-    """Residual of the weighted Hadamard identity Omega^{-H} V W = alpha (Omega^-1)^t.
+def _nonzero_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
+    alpha = weight_overlap(v, w)
+    if alpha == 0:
+        raise ValueError("weight overlap alpha = sum(v_a * w_a) must be nonzero")
+    return alpha
 
-    alpha is weight_overlap(v, w): the diagonal of Omega^{-H} V W Omega^t
-    is sum_a v_a w_a, so no other alpha can pass.
-    """
-    omega = linalg.as_matrix(omega)
-    n = linalg._require_square(omega, "master matrix")
+
+def _require_weights(n: int, v: Sequence[complex], w: Sequence[complex]) -> None:
     if len(v) != n or len(w) != n:
         raise ValueError(
             f"weights v and w need {n} entries each for a {n}x{n} master matrix, "
             f"got {len(v)} and {len(w)}"
         )
-    lhs = linalg.hadamard_inverse(omega) @ linalg.diag(v) @ linalg.diag(w)
-    rhs = weight_overlap(v, w) * linalg.inverse(omega, tol).T
-    residual = linalg.max_abs(lhs - rhs)
+
+
+def weighted_hadamard_check(
+    omega: Matrix, v: Sequence[complex], w: Sequence[complex], tol: float = DEFAULT_TOL
+) -> Comparison:
+    """The weighted Hadamard identity Omega^{o-1} V W = alpha (Omega^-1)^t, in two parts.
+
+    Omega^{o-1} is the entrywise reciprocal, alpha = weight_overlap(v, w).
+    Entry (i, a) reads v_a w_a = alpha Omega[i, a] (Omega^-1)[a, i]; its
+    sum over i is n v_a w_a = alpha. So for alpha != 0 the identity holds
+    exactly when Omega is a GHM and v_a w_a = alpha / n for every a. The
+    residual is the larger of hadamard.ghm_residual(Omega) (inf for a zero
+    entry or a singular Omega) and the overlap spread max|v_a w_a - alpha/n|.
+    alpha = 0 raises ValueError: the identity then says only v o w = 0.
+    """
+    omega = linalg.as_matrix(omega)
+    n = linalg._require_square(omega, "master matrix")
+    _require_weights(n, v, w)
+    alpha = _nonzero_overlap(v, w)
+    spread = np.abs(np.asarray(v, dtype=np.complex128) * np.asarray(w) - alpha / n).max()
+    residual = _worst(hadamard.ghm_residual(omega, tol), spread)
     return Comparison(residual <= tol, residual)
 
 

@@ -775,6 +775,18 @@ class TestErrors:
             (["check", "ybe", "--seed", "-1", "--ansatz"], ANSATZ, "seed -1"),
             # gen reads no file; in.json is the --out path, left as written.
             ([*HUGE_FOURIER, "--out"], {}, "out of memory"),
+            # Integers past the float range, where a float is needed.
+            *(
+                ([*argv, "--out"], {}, "too large to convert to float")
+                for argv in (
+                    ["gen", "master-f4", "--k", str(10**400), "--m", "1"],
+                    ["gen", "master-f6", "--k", str(10**400), "--r", "1", "--s", "1"],
+                    ["gen", "master-fourier", "--n", str(10**400)],
+                )
+            ),
+            (["check", "butson", "--q", str(10**400), "--matrix"], SCALAR, "too large"),
+            # v o w = 0 would pass the identity with any Omega.
+            (["check", "weighted-hadamard", "--v", "1,0", "--w", "0,1", "--omega"], MATRIX, "nonzero"),
             # Powers of order 10^200 overflow the braid products: a NaN residual.
             *(
                 (["check", "tl", "--ansatz"], ANSATZ | {"m": c, "exponents": e}, "JSON")
@@ -792,8 +804,10 @@ class TestErrors:
             "string_exponent", "fractional_sites", "fractional_rows", "string_rows",
             "bool_entry", "master_power_overflow", "master4_power_overflow",
             "master4_power_underflow", "generator_power_overflow", "weight_length_mismatch",
-            "spectral_samples_memory", "negative_seed", "fourier_size_memory", "tl_nan_braid_10_200",
-            "tl_nan_braid_10_160", "tl_nan_braid_2_600",
+            "spectral_samples_memory", "negative_seed", "fourier_size_memory",
+            "master_f4_huge_k", "master_f6_huge_k", "master_fourier_huge_n", "butson_huge_q",
+            "weighted_zero_overlap", "tl_nan_braid_10_200", "tl_nan_braid_10_160",
+            "tl_nan_braid_2_600",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):
@@ -803,6 +817,32 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and field in err
         assert err.count("\n") == 1
+
+    def test_huge_sites_exits_2_at_once(self, workdir):
+        # n^sites is refused on bit lengths before the power is formed; in a
+        # child process, so that forming it fails the test by the timeout.
+        (workdir / "a.json").write_text(json.dumps(fixture_u2_ansatz().to_dict()))
+        argv = ["build", "tl-embedded", "--ansatz", "a.json", "--site", "2", "--sites", str(10**400)]
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, tlhad.cli as c; sys.exit(c.main(sys.argv[1:]))", *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=os.environ | {"PYTHONPATH": str(Path(tlhad.__file__).parent.parent)},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: embedded dimension 3**sites exceeds")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("entries", [[[1, 0], [0, 1]], [[1, 2], [2, 4]]], ids=["zero_entry", "singular"])
+    def test_non_ghm_omega_fails_both_checks_with_null_residual(self, capsys, workdir, entries):
+        write_matrix("om.json", as_matrix(entries))
+        code, payload = run_json(capsys, "check", "ghm", "--matrix", "om.json")
+        assert (code, payload["ok"], payload["max_residual"]) == (1, False, None)
+        code, payload = run_json(
+            capsys, "check", "weighted-hadamard", "--omega", "om.json", "--v", "1,1", "--w", "1,1"
+        )
+        assert (code, payload["ok"], payload["residual"]) == (1, False, None)
 
 
 def _reject_constant(name):
@@ -984,6 +1024,11 @@ PARITY_CASES = {
         "check weighted-hadamard --omega {d}/om.json"
         " --v=-0.5+0.8660254037844387j,1,1 --w=-0.5-0.8660254037844387j,1,1"
     ),
+    # A zero entry fails the check with a null residual; a zero overlap is refused.
+    "check_weighted_hadamard_zero_entry": "check weighted-hadamard --omega {d}/eye.json --v 1,1 --w 1,1",
+    "check_weighted_hadamard_zero_overlap": (
+        "check weighted-hadamard --omega {d}/f2.json --v 1,0 --w 0,1"
+    ),
     # A braid file of an older build: nu and hecke_residual are ignored.
     "check_hecke_legacy_braid": "check hecke --braid {d}/legacy_braid.json",
     "search_found": "search master-rep --matrix {d}/h.json --exponent-bound 4 --root-order-bound 6",
@@ -1000,7 +1045,8 @@ def long_doc(inputs, tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("case", PARITY_CASES)
+# A refused command renders no document; test_malformed_input_exits_2 has its exit 2.
+@pytest.mark.parametrize("case", [c for c in PARITY_CASES if c != "check_weighted_hadamard_zero_overlap"])
 def test_output_is_the_indented_render_compacted(case, inputs, long_doc, tmp_path):
     argv = PARITY_CASES[case].format(d=inputs).split()
     args = cli._build_parser().parse_args(argv)
@@ -1020,6 +1066,8 @@ def test_output_is_the_indented_render_compacted(case, inputs, long_doc, tmp_pat
     assert (tmp_path / "out.json").read_text() == expected
     if case == "check_ghm_null":
         assert '"max_residual": null' in expected
+    if case == "check_weighted_hadamard_zero_entry":
+        assert '"residual": null' in expected
 
 
 def test_embedded_render_peaks_at_half_the_list_render(inputs, tmp_path):

@@ -30,7 +30,6 @@ from tlhad.linalg import (
     complex_to_json,
     dagger,
     diag,
-    hadamard_inverse,
     identity,
     inverse,
     kron,
@@ -277,23 +276,6 @@ class TestInverse:
         for m in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
             with pytest.raises(SingularMatrixError):
                 inverse(as_matrix(m), tol=0.0)
-
-
-class TestHadamardInverse:
-    def test_entrywise_reciprocal(self):
-        m = as_matrix([[1, 2], [1j, -1]])
-        h = hadamard_inverse(m)
-        np.testing.assert_allclose(h, as_matrix([[1, 0.5], [-1j, -1]]), rtol=0, atol=1e-15)
-
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        m = as_matrix(np.exp(1j * rng.uniform(0, 2 * math.pi, size=(4, 4))))
-        np.testing.assert_allclose(hadamard_inverse(hadamard_inverse(m)), m, rtol=0, atol=1e-14)
-
-    def test_zero_entry_reported_by_position(self):
-        m = as_matrix([[1, 1], [0, 1]])
-        with pytest.raises(ValueError, match=r"\(1, 0\)"):
-            hadamard_inverse(m)
 
 
 class TestJsonRoundTrip:

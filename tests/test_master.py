@@ -26,7 +26,6 @@ from tlhad.hadamard import (
 )
 from tlhad.linalg import (
     as_matrix,
-    hadamard_inverse,
     identity,
     max_abs,
     unit_root,
@@ -233,7 +232,7 @@ class TestMasterCondition:
             om = master_matrix(spec)
             direct = check_master_condition(spec).max_residual
             gram = max_abs(
-                hadamard_inverse(om) @ np.asarray(om).T - n * identity(n)
+                (1 / om) @ np.asarray(om).T - n * identity(n)
             )
             assert abs(direct - gram) < 1e-9 * max(1.0, direct)
 

@@ -6,13 +6,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlhad import linalg, tlrep
-from tlhad.hadamard import dephase, f4_family, fourier, is_ghm
+from tlhad.hadamard import (
+    EquivalenceMove,
+    apply_equivalence,
+    dephase,
+    f4_family,
+    f6_family,
+    fourier,
+    is_ghm,
+)
 from tlhad.linalg import (
     as_matrix,
     diag,
-    hadamard_inverse,
     identity,
     inverse,
     kron,
@@ -210,6 +219,12 @@ class TestEmbed:
             embed(local, 0, 3, a.n)
         with pytest.raises(ValueError):
             embed(local, 3, 3, a.n)
+
+    def test_dimension_past_numpys_limit_refused(self):
+        # 3^40 > 2^63 - 1; test_cli's test_huge_sites_exits_2_at_once takes
+        # 10^400 sites in a child process, which forming 3^(10^400) would hang.
+        with pytest.raises(ValueError, match=r"3\*\*sites exceeds numpy's maximum"):
+            embed(np.eye(9), 1, 40, 3)
 
 
 class TestVerifyTL:
@@ -546,6 +561,98 @@ class TestMaster4:
         assert check.ok == (perturb == 1.0)
 
 
+def _unimodular(rng, size):
+    return np.exp(2j * math.pi * rng.uniform(size=size))
+
+
+def _omega(family, rng):
+    """A GHM of the family, or a random matrix, which is not one."""
+    if family == "fourier":
+        return fourier(int(rng.integers(2, 7)))
+    if family == "f4":
+        return f4_family(10 ** rng.uniform(0, 4) * _unimodular(rng, None))
+    if family == "f6":
+        a, b = 10 ** rng.uniform(-1, 1, size=2) * _unimodular(rng, 2)
+        return f6_family(a, b)
+    n = int(rng.integers(2, 7))
+    return as_matrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+def _weights(kind, n, rng):
+    """(v, w): all ones, a constant overlap, a gauge d and c / d, or random."""
+    if kind == "ones":
+        return (1.0,) * n, (1.0,) * n
+    c = complex(*rng.uniform(0.5, 2.0, size=2))
+    if kind == "constant":
+        return (c,) * n, (1.0,) * n
+    d = rng.uniform(0.5, 2.0, size=n) * _unimodular(rng, n)
+    if kind == "gauge":
+        return tuple(d), tuple(c / d)
+    return tuple(d), tuple(rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def identity_residual(omega, v, w):
+    """max|Omega^{o-1} V W - alpha (Omega^-1)^t|, the identity itself: the
+    reference whose verdict weighted_hadamard_check's two parts must give."""
+    alpha = sum((va * wa for va, wa in zip(v, w)), complex(0.0))
+    return max_abs((1 / omega) @ diag(v) @ diag(w) - alpha * inverse(omega).T)
+
+
+def twisted_product_ok(p, omega, v=None, w=None, tol=1e-9):
+    """The twisted product (P^-1 V Omega^t)[i, u] (Omega^{o-1} W P)[u, i] = 1,
+    and in the plain form also H = Omega^{o-1} P a GHM: the reference whose
+    verdict eigenvector_condition must give."""
+    ones = (1.0,) * len(p)
+    left = inverse(p) @ diag(ones if v is None else v) @ np.asarray(omega).T
+    h = (1 / np.asarray(omega)) @ diag(ones if w is None else w) @ p
+    ok = bool(max_abs(left * h.T - 1.0) <= tol)
+    return ok and (v is not None or is_ghm(h).is_ghm)
+
+
+def _eigenvector_data(family, weights, rng):
+    """(P, Omega, v, w, verdict of the twisted product) for one draw.
+
+    P is built so that Omega^{o-1} W P is a Fourier matrix after a diagonal
+    move, an F4(a) with 1 <= |a| <= 100, or, for "random_p", P is random.
+    The weights are plain (none), a gauge d and 1 / d, an overlap of 2, or
+    random; only the first two can pass.
+    """
+    if family == "f4":
+        omega = master_matrix(f4_master(2, 1))
+        h = f4_family(10 ** rng.uniform(0, 2) * _unimodular(rng, None))
+    else:
+        n = int(rng.integers(2, 6))
+        omega = master_matrix(fourier_master(n))
+        left, right = rng.uniform(0.5, 2.0, size=(2, n)) * _unimodular(rng, (2, n))
+        move = EquivalenceMove(tuple(range(n)), tuple(left), tuple(right), tuple(range(n)))
+        h = apply_equivalence(fourier(n), move)
+    n = len(h)
+    d = rng.uniform(0.5, 2.0, size=n) * _unimodular(rng, n)
+    v, w = {
+        "plain": (None, None),
+        "gauge": (tuple(d), tuple(1 / d)),
+        "overlap_2": (tuple(d), tuple(2 / d)),
+        "random": _weights("random", n, rng),
+    }[weights]
+    p = (1 / np.asarray((1.0,) * n if w is None else w))[:, None] * (omega.T @ h) / n
+    if family == "random_p":
+        p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    expected = family != "random_p" and weights in ("plain", "gauge")
+    return as_matrix(p), omega, v, w, expected
+
+
+EIGENVECTOR_CASES = {
+    f"{family}_{weights}_{seed}": (
+        lambda args=(family, weights, seed): _eigenvector_data(
+            *args[:2], np.random.default_rng(args[2])
+        )
+    )
+    for family in ("fourier_moved", "f4", "random_p")
+    for weights in ("plain", "gauge", "overlap_2", "random")
+    for seed in range(3)
+}
+
+
 class TestEigenvectorCondition:
     def test_transpose_alone_fails(self):
         spec = fourier_master(3)
@@ -587,6 +694,32 @@ class TestEigenvectorCondition:
         assert eigenvector_condition(p, om)
         # Distorted weights break the twisted product.
         assert not eigenvector_condition(p, om, v=(2, 1, 1), w=(1, 1, 1))
+
+    def test_zero_entry_of_omega_named(self):
+        om = as_matrix([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            eigenvector_condition(fourier(2), om)
+
+    def test_singular_p_fails(self):
+        om = master_matrix(fourier_master(2))
+        assert not eigenvector_condition(as_matrix([[1, 1], [1, 1]]), om)
+
+    @pytest.mark.parametrize("case", EIGENVECTOR_CASES)
+    def test_verdict_equals_the_twisted_product(self, case):
+        p, om, v, w, expected = EIGENVECTOR_CASES[case]()
+        assert twisted_product_ok(p, om, v, w) is expected
+        assert eigenvector_condition(p, om, v=v, w=w) is expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["fourier_moved", "f4", "random_p"]),
+        st.sampled_from(["plain", "gauge", "overlap_2", "random"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_is_the_twisted_products(self, family, weights, seed):
+        p, om, v, w, expected = _eigenvector_data(family, weights, np.random.default_rng(seed))
+        assert twisted_product_ok(p, om, v, w) is expected
+        assert eigenvector_condition(p, om, v=v, w=w) is expected
 
 
 class TestReconstructM:
@@ -660,27 +793,46 @@ class TestWeightedHadamard:
         assert not check.ok
 
     def test_zero_entry_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_hadamard_check(as_matrix([[1, 0], [1, 1]]), (1, 1), (1, 1))
+        # A zero entry, like a singular Omega, makes ghm_residual inf: a failed
+        # verdict, not an error.
+        for omega in ([[1, 0], [1, 1]], [[1, 2], [2, 4]]):
+            assert weighted_hadamard_check(as_matrix(omega), (1, 1), (1, 1)) == (False, math.inf)
+
+    def test_zero_overlap_refused(self):
+        # v o w = 0 satisfies the identity for any Omega without zero entries.
+        omega = as_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        assert identity_residual(omega, (1, 0, 0), (0, 1, 1)) == 0
+        with pytest.raises(ValueError, match="must be nonzero"):
+            weighted_hadamard_check(omega, (1, 0, 0), (0, 1, 1))
 
     @pytest.mark.parametrize("case", WEIGHTED_CASES)
     def test_equals_the_identity_at_alpha_the_weight_overlap(self, case):
-        # The identity with alpha given, as it was checked when alpha was an
-        # input, at alpha = sum_a v_a w_a: the same residual to the bit.
+        # The verdict of the identity itself, at alpha = sum_a v_a w_a.
         omega, v, w = WEIGHTED_CASES[case]()
-        alpha = sum((va * wa for va, wa in zip(v, w)), complex(0.0))
-        lhs = hadamard_inverse(omega) @ diag(v) @ diag(w)
-        residual = max_abs(lhs - alpha * inverse(omega).T)
-        assert tlrep.weight_overlap(v, w) == alpha
-        assert weighted_hadamard_check(omega, v, w) == (residual <= 1e-9, residual)
-        assert (case == "wrong") == (residual > 1e-9)
+        expected = identity_residual(omega, v, w) <= 1e-9
+        assert weighted_hadamard_check(omega, v, w).ok is expected
+        assert expected is (case != "wrong")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["fourier", "f4", "f6", "random"]),
+        st.sampled_from(["ones", "constant", "gauge", "random"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_is_the_identitys(self, family, weights, seed):
+        rng = np.random.default_rng(seed)
+        omega = _omega(family, rng)
+        v, w = _weights(weights, len(omega), rng)
+        expected = identity_residual(omega, v, w) <= 1e-9
+        assert weighted_hadamard_check(omega, v, w).ok is expected
+        assert expected is (family != "random" and weights != "random")
 
     def test_no_other_alpha_can_pass(self):
         # F2 with v = w = (1, 1): alpha = 2 is the weight overlap, and the
         # identity at alpha = 3 misses by 0.5 on the diagonal.
         omega = fourier(2)
         assert weighted_hadamard_check(omega, (1, 1), (1, 1)).max_residual <= 1e-15
-        assert max_abs(hadamard_inverse(omega) - 3 * inverse(omega).T) == pytest.approx(0.5)
+        assert max_abs(1 / omega - 3 * inverse(omega).T) == pytest.approx(0.5)
 
 
 def gauge(local, g):
