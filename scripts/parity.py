@@ -5,12 +5,17 @@ Usage, from the root of a checkout:
     python3 scripts/parity.py dump SRC --seeds 7 9 > after.json
     python3 scripts/parity.py compare before.json after.json
 
-`dump` imports tlhad from the source directory SRC (the `src/` of any
-checkout) and records:
+`dump` first runs `inputs DIR` in a child process, which imports this
+checkout's own tlhad and test modules and writes, as JSON documents, the
+input files of the PARITY_CASES of tests/test_cli.py and cases.json: the
+case tables and every BLOCK_CASES entry of tests/test_tlrep.py as an
+ansatz document (TLAnsatz.to_dict). It then imports tlhad from the source
+directory SRC (the `src/` of any checkout), which only reads those
+documents, and records:
 
 - the loop and braid residuals of verify_tl, as float hex strings, for
   every tl_chain op of perfbench at each seed and for every BLOCK_CASES
-  entry of tests/test_tlrep.py;
+  ansatz document;
 - the exit code, the sha256 of stdout and of the --out file, and the
   stderr text of every PARITY_CASES command of tests/test_cli.py (the
   --out file is empty text where the command wrote none);
@@ -22,7 +27,10 @@ checkout) and records:
   USAGE_ERRORS and UNKNOWN_FLAGS row of tests/test_cli.py (help is
   formatted for COLUMNS=80 unless COLUMNS is set).
 
-The inputs and cases are those of this checkout. `compare` exits 1 unless
+The inputs and cases are those of this checkout, made by its own tlhad,
+so two dumps from one checkout read the same bytes whatever SRC computes,
+and no test module is imported into the process that imports SRC.
+`compare` exits 1 unless
 the two files hold the same keys with equal values. spectral_worst may
 move without a change of verdict: `check ybe` takes it from the Hecke
 bounds' J on Hecke data and from the mirror words' coefficient bound on
@@ -43,6 +51,7 @@ import math
 import os
 import re
 import struct
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -91,7 +100,28 @@ def _ulps(a: str, b: str) -> float:
     return float(abs(struct.unpack("<q", struct.pack("<d", x))[0] - struct.unpack("<q", struct.pack("<d", y))[0]))
 
 
+def write_inputs(directory: Path) -> None:
+    """The PARITY_CASES input files and cases.json in directory, made with this checkout's tlhad."""
+    sys.path.insert(0, str(ROOT / "src"))
+    test_cli = _load(ROOT / "tests" / "test_cli.py")
+    block_cases = _load(ROOT / "tests" / "test_tlrep.py").BLOCK_CASES
+    factory = SimpleNamespace(mktemp=lambda name: Path(tempfile.mkdtemp(prefix=name, dir=directory)))
+    tables = {
+        "inputs": str(test_cli.inputs.__wrapped__(factory)),
+        "parity": test_cli.PARITY_CASES,
+        "usage": test_cli.USAGE_ERRORS,
+        "unknown_flag": test_cli.UNKNOWN_FLAGS,
+        "block": {name: make().to_dict() for name, make in block_cases.items()},
+    }
+    (directory / "cases.json").write_text(json.dumps(tables), encoding="utf-8")
+
+
 def dump(src: str, seeds: list[int], workdir: Path) -> dict:
+    # The child's stdout goes to stderr: this process's stdout is the dump.
+    subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "inputs", str(workdir)], check=True, stdout=sys.stderr
+    )
+    tables = json.loads((workdir / "cases.json").read_text(encoding="utf-8"))
     sys.path.insert(0, str(Path(src).resolve()))
     import numpy as np
 
@@ -105,8 +135,8 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
             ops = WORKLOADS["tl_chain"](lib, np.random.default_rng(seed), workdir)
             for index, op in enumerate(ops):
                 cases[f"tl_chain/{seed}/{index}/{op.slice}/{op.label}"] = _residuals(op.run())
-        for name, make in sorted(_load(ROOT / "tests" / "test_tlrep.py").BLOCK_CASES.items()):
-            cases[f"block/{name}"] = _residuals(lib.tlrep.verify_tl(make()))
+        for name, doc in sorted(tables["block"].items()):
+            cases[f"block/{name}"] = _residuals(lib.tlrep.verify_tl(lib.tlrep.TLAnsatz.from_dict(doc)))
 
     for seed in seeds:
         seed_dir = workdir / f"cli_roundtrip{seed}"
@@ -121,18 +151,15 @@ def dump(src: str, seeds: list[int], workdir: Path) -> dict:
                 [code, _document(out, cases, f"{key}/{call}")] for call, (code, out) in enumerate(calls)
             ]
 
-    test_cli = _load(ROOT / "tests" / "test_cli.py")
-    for kind, rows in (("usage", test_cli.USAGE_ERRORS), ("unknown_flag", test_cli.UNKNOWN_FLAGS)):
-        for name, argv in sorted(rows.items()):
+    for kind in ("usage", "unknown_flag"):
+        for name, argv in sorted(tables[kind].items()):
             stdout, stderr = io.StringIO(), io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):
                 code = lib.cli.main(argv.split())
             cases[f"{kind}/{name}"] = [code, _sha256(stdout.getvalue().encode()), stderr.getvalue()]
 
-    factory = SimpleNamespace(mktemp=lambda name: Path(tempfile.mkdtemp(prefix=name, dir=workdir)))
-    inputs = test_cli.inputs.__wrapped__(factory)
-    for name, argv in sorted(test_cli.PARITY_CASES.items()):
-        argv = argv.format(d=inputs).split()
+    for name, argv in sorted(tables["parity"].items()):
+        argv = argv.format(d=tables["inputs"]).split()
         out_path = workdir / f"{name}.out.json"
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -189,10 +216,15 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare")
     c.add_argument("before")
     c.add_argument("after")
+    i = sub.add_parser("inputs", help="write the input documents and cases.json into an existing directory")
+    i.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
     if args.command == "compare":
         with open(args.before) as fb, open(args.after) as fa:
             return compare(json.load(fb), json.load(fa))
+    if args.command == "inputs":
+        write_inputs(args.directory)
+        return 0
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("COLUMNS", "80")
     with tempfile.TemporaryDirectory() as workdir:

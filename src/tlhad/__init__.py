@@ -33,9 +33,7 @@ from .hadamard import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    Comparison,
     Matrix,
-    SingularMatrixError,
     as_matrix,
     diag,
     identity,
@@ -84,8 +82,6 @@ __all__ = [
     # linalg
     "DEFAULT_TOL",
     "Matrix",
-    "Comparison",
-    "SingularMatrixError",
     "as_matrix",
     "identity",
     "zeros",

@@ -302,6 +302,9 @@ def _check_weighted_hadamard(args) -> tuple[dict, bool]:
         "check": "weighted-hadamard",
         "ok": result.ok,
         "residual": _finite(result.max_residual),
+        "ghm_residual": _finite(result.ghm_residual),
+        "overlap_spread": _finite(result.overlap_spread),
+        "tl_normalisation": _finite(result.tl_normalisation),
         "alpha": linalg.complex_to_json(tlrep.weight_overlap(v, w)),
         "tol": args.tol,
     }

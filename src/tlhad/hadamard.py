@@ -3,9 +3,9 @@
 A complex Hadamard matrix (CHM) of size n has unimodular entries and
 satisfies U U^dagger = n I. A generalized Hadamard matrix (GHM) drops
 unimodularity and asks instead that the entrywise reciprocal transpose
-be n times the ordinary inverse, equivalently
-
-    n * U[i, j] * (U^-1)[j, i] = 1   for all i, j.
+be n times the ordinary inverse, equivalently U (U^{o-1})^t = n I with
+U^{o-1} the entrywise reciprocal. ghm_residual takes this product with no
+inverse, so it does not grow with the condition number of U.
 
 Every CHM is a GHM, and the GHM class is closed under the equivalence
 moves U -> P1 D1 U D2 P2 with permutations P and invertible diagonals D.
@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL, Matrix, SingularMatrixError
+from .linalg import DEFAULT_TOL, Matrix
 
 __all__ = [
     "HadamardVerdict",
@@ -63,9 +63,8 @@ BUTSON_SCAN_LIMIT = 36
 class HadamardVerdict:
     """Classification of one matrix: CHM? GHM? Butson order if any.
 
-    max_residual is the worst residual over the tests that were run;
-    it is inf when the matrix is singular or has a zero entry, in which
-    case both verdicts are False.
+    max_residual is ghm_residual(u): inf when the matrix has a zero
+    entry, in which case both verdicts are False.
     """
 
     is_chm: bool
@@ -157,21 +156,16 @@ def is_chm(u: Matrix, tol: float = DEFAULT_TOL) -> bool:
     return chm_residual(u) <= tol
 
 
-def ghm_residual(u: Matrix, tol: float = DEFAULT_TOL) -> float:
-    """Worst violation of n * u[i, j] * (u^-1)[j, i] = 1.
+def _hadamard_defect(u: np.ndarray) -> np.ndarray:
+    """u (u^{o-1})^t - n I, entry (i, j) = sum_k u[i, k] / u[j, k] - n delta_ij; no zero entry."""
+    return u @ (1 / u).T - len(u) * np.eye(len(u))
 
-    Returns inf when u has a zero entry or is singular at tol (either
-    makes the defining identity unsatisfiable).
-    """
+
+def ghm_residual(u: Matrix) -> float:
+    """max|u (u^{o-1})^t - n I|; inf for a zero entry, finite for a singular u."""
     u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
-    n = linalg._require_square(u, "GHM input")
-    if np.any(u == 0):
-        return math.inf
-    try:
-        inv = linalg.inverse(u, tol)
-    except SingularMatrixError:
-        return math.inf
-    return linalg.max_abs(n * u * inv.T - 1.0)
+    linalg._require_square(u, "GHM input")
+    return linalg.max_abs(_hadamard_defect(u)) if u.all() else math.inf
 
 
 def butson_residual(u: Matrix, q: int) -> float:
@@ -254,16 +248,14 @@ def butson_order(u: Matrix, tol: float, limit: int) -> int | None:
 def is_ghm(u: Matrix, tol: float = DEFAULT_TOL) -> HadamardVerdict:
     """Classify u as CHM / GHM / Butson in one pass.
 
-    max_residual is the residual of the defining GHM identity (inf for a
-    zero entry or a singular matrix, both of which force a False verdict).
+    max_residual is ghm_residual(u), inf for a zero entry.
     butson_order is the minimal q <= BUTSON_SCAN_LIMIT whose roots contain
     all entries, reported only when u is a CHM; None otherwise.
     """
-    r_ghm = ghm_residual(u, tol)
-    ghm_ok = r_ghm <= tol
+    r_ghm = ghm_residual(u)
     chm_ok = chm_residual(u) <= tol
     order = butson_order(u, tol, BUTSON_SCAN_LIMIT) if chm_ok else None
-    return HadamardVerdict(chm_ok, ghm_ok, order, r_ghm)
+    return HadamardVerdict(chm_ok, r_ghm <= tol, order, r_ghm)
 
 
 def fourier(n: int, ell: int = 1) -> Matrix:

@@ -24,15 +24,13 @@ import cmath
 import itertools
 import json
 import math
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
     "Matrix",
-    "SingularMatrixError",
-    "Comparison",
     "as_matrix",
     "identity",
     "zeros",
@@ -64,13 +62,6 @@ Matrix = np.ndarray
 
 class SingularMatrixError(ValueError):
     """The matrix is singular, or too badly conditioned to invert at the tolerance."""
-
-
-class Comparison(NamedTuple):
-    """Outcome of a tolerance comparison: verdict plus worst entry residual."""
-
-    ok: bool
-    max_residual: float
 
 
 def as_matrix(entries) -> Matrix:

@@ -8,10 +8,10 @@ the master condition when
     sum_a (lambda_i / lambda_j) ** n_a = n * delta_ij,
 
 equivalently: every ratio lambda_i / lambda_j (i != j) is a root of the
-master polynomial p(z) = sum_a z^n_a. Matrices of this shape with the
-condition are exactly the spectral data for which the rank-n ansatz in
-tlrep closes the Temperley-Lieb relations, and they are always
-generalized Hadamard matrices.
+master polynomial p(z) = sum_a z^n_a; the sum is entry (i, j) of
+Omega (Omega^{o-1})^t, so it is Omega's generalized Hadamard identity.
+Such spectral data are exactly those for which the rank-n ansatz in
+tlrep closes the Temperley-Lieb relations.
 
 Provided constructions: Fourier identification, the size-4 and size-6
 parametric families, and iterated ("nested") Fourier products. The
@@ -208,33 +208,35 @@ class PigeonholeObstruction:
     distinct_rows: int
 
 
-#: numpy's complex `**` multiplies out integer powers below this exponent
-#: and takes exp(n log z) from it on: (-1)^(10^7 + 1) comes out 1.4e-9 off.
-_SQUARING_FROM = 100
-
-
 def power_table(base, exponents) -> np.ndarray:
     """table[..., a] = base[...] ** n_a for every integer exponent n_a, in complex128.
 
-    Below |n_a| = 100 the power is numpy's `**`; from there on it is made
-    by repeated squaring on the Python int, so a power of -1 or 1j is
-    exact at any exponent, and a negative exponent gives the reciprocal.
-    Raises ValueError when a power is not finite, so an overflow never
-    reaches a residual as inf or nan.
+    Every nonzero power is made by repeated squaring on the Python int
+    (linalg._power_by_squaring), the squares shared by all exponents, so a
+    power of -1 or 1j is exact at any exponent, and a negative exponent
+    gives the reciprocal. Raises ValueError when a power is not finite, so
+    an overflow never reaches a residual as inf or nan.
     """
     # A trailing axis, as numpy rounds 0-d complex products unlike array ones.
     base = np.asarray(base, dtype=np.complex128)[..., None]
     exponents = [operator.index(e) for e in exponents]
-    small = [e if abs(e) < _SQUARING_FROM else 0 for e in exponents]
-    large = [a for a, e in enumerate(exponents) if abs(e) >= _SQUARING_FROM]
+    table = np.ones(base.shape[:-1] + (len(exponents),), dtype=np.complex128)
+    squares = [base]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = base ** np.asarray(small, dtype=np.float64)
-        squares = [base]
-        for a in large:
-            power = linalg._power_by_squaring(squares, abs(exponents[a]), np.multiply)
-            table[..., a : a + 1] = power if exponents[a] > 0 else 1 / power
+        for a, e in enumerate(exponents):
+            if e:
+                power = linalg._power_by_squaring(squares, abs(e), np.multiply)
+                table[..., a : a + 1] = power if e > 0 else 1 / power
     if not np.isfinite(table).all():
         raise ValueError("an eigenvalue power overflows the floating-point range")
+    return table
+
+
+def _invertible_powers(lambdas, exponents) -> np.ndarray:
+    """power_table(lambdas, exponents), refused when a power is 0: its reciprocal is not finite."""
+    table = power_table(lambdas, exponents)
+    if not table.all():
+        raise ValueError("an eigenvalue power overflows or underflows the floating-point range")
     return table
 
 
@@ -250,10 +252,13 @@ def master_polynomial_eval(exponents, z):
 
 
 def check_master_condition(spec: MasterSpec, tol: float = DEFAULT_TOL) -> MasterConditionCheck:
-    """Residuals of sum_a (lambda_i/lambda_j)^n_a = n * delta_ij."""
-    lams = np.asarray(spec.lambdas)
-    sums = master_polynomial_eval(spec.exponents, lams[:, None] / lams)
-    residuals = np.abs(sums - spec.size * np.eye(spec.size))
+    """Residuals of sum_a (lambda_i/lambda_j)^n_a = n * delta_ij, Omega's GHM identity.
+
+    Only ratios enter, so Omega is taken at lambda / |lambda_0|; a power
+    that overflows or underflows raises ValueError.
+    """
+    omega = _invertible_powers(np.asarray(spec.lambdas) / abs(spec.lambdas[0]), spec.exponents)
+    residuals = np.abs(hadamard._hadamard_defect(omega))
     worst = float(residuals.max())
     return MasterConditionCheck(worst <= tol, worst, residuals)
 

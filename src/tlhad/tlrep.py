@@ -23,14 +23,10 @@ and generators on disjoint bonds commute exactly as Kronecker embeddings.
 The site count only selects which relations exist (2: loop; 3: adds braid;
 4 or more: adds commutation, whose residual is identically 0), and the
 checks never form a matrix of size n^sites. verify_tl, which has the
-ansatz data, builds the table p[x, y] = M^(n_x - n_y) of difference
-powers once and takes the braid residual in block form from it, in
-O(n^7) time. It takes the defects for c = max(1, 4096 // n^5) outer
-indices per step: all of them for n <= 4, one per step from n = 5. So no
-array holds more than max(n^5, 4096) entries, and the peak working
-memory stays under 64 * max(n^5, 4096) bytes. verify_tl_local, which has
-only a prebuilt T, forms the dense n^3 x n^3 three-strand products; it
-is the reference for the block form.
+ansatz data, takes the braid residual in block form from the powers
+M^(n_x - n_y), in O(n^7) time and under 64 * max(n^5, 4096) bytes.
+verify_tl_local, which has only a prebuilt T, forms the dense
+n^3 x n^3 three-strand products; it is the reference for the block form.
 
 This module builds and embeds the generators, measures the three
 relation residuals, checks the factorized closure condition directly on
@@ -45,12 +41,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import hadamard, linalg, master
-from .linalg import DEFAULT_TOL, Comparison, Matrix
+from .linalg import DEFAULT_TOL, Matrix
 
 __all__ = [
     "TLAnsatz",
     "TLReport",
     "Master4Check",
+    "WeightedHadamardCheck",
     "build_local_generator",
     "embed",
     "verify_tl",
@@ -97,7 +94,7 @@ class TLAnsatz:
         self.sites = int(self.sites)
         if self.sites < 2:
             raise ValueError("need at least 2 sites")
-        _nonzero_overlap(self.v, self.w)
+        weight_overlap(self.v, self.w)
 
     @property
     def n(self) -> int:
@@ -169,6 +166,16 @@ class Master4Check(NamedTuple):
     ok: bool
     max_residual: float
     worst: tuple[int, int, int]
+
+
+class WeightedHadamardCheck(NamedTuple):
+    """Verdict of weighted_hadamard_check with the parts it is made of."""
+
+    ok: bool
+    max_residual: float
+    ghm_residual: float
+    overlap_spread: float
+    tl_normalisation: float
 
 
 def _matrix_power(squares: list[Matrix], k: int) -> Matrix:
@@ -383,9 +390,9 @@ def check_master4(
 
     The inner double sum factorizes as (Pinv @ c_u)[i] * (r_u @ P)[j]
     with c_u[k] = lambda_u^n_k and r_u[l] = lambda_u^(-n_l), rows of the
-    power table and of its reciprocal, which keeps the evaluation at
-    O(n^3) scalars. The worst index is the first maximum in (i, j, u)
-    order with u slowest.
+    power table c and of its reciprocal, which keeps the evaluation at
+    O(n^3) scalars; the ratio sums are (1/c) @ c^t. The worst index is
+    the first maximum in (i, j, u) order with u slowest.
     """
     p = linalg._finite_matrix(np.asarray(p, dtype=np.complex128))
     n = linalg._require_square(p, "eigenvector matrix")
@@ -395,13 +402,10 @@ def check_master4(
     if not lams.all():
         raise ValueError("eigenvalues must be nonzero")
     pinv = linalg.inverse(p, tol)
-    ratio_sums = master.master_polynomial_eval(exponents, lams / lams[:, None])
-    c = master.power_table(lams, exponents)
-    if not c.all():
-        raise ValueError("an eigenvalue power underflows, so its reciprocal is not finite")
-    x = c @ pinv.T
-    y = (1 / c) @ p
-    vals = ratio_sums * (x[:, :, None] * y[:, None, :])
+    c = master._invertible_powers(lams, exponents)
+    r = 1 / c
+    x, y = c @ pinv.T, r @ p
+    vals = (r @ c.T) * (x[:, :, None] * y[:, None, :])
     res = np.abs(vals - n * np.eye(n))
     u, i, j = np.unravel_index(int(np.argmax(res)), res.shape)
     worst = float(res[u, i, j])
@@ -437,7 +441,7 @@ def eigenvector_condition(
         _require_weights(n, v, w)
         scale = np.asarray(w, dtype=np.complex128)
         normalisation = np.abs(np.asarray(v) * scale - 1).max()
-    return _worst(normalisation, hadamard.ghm_residual((scale / omega) @ p, tol)) <= tol
+    return _worst(normalisation, hadamard.ghm_residual((scale / omega) @ p)) <= tol
 
 
 def reconstruct_m(omega: Matrix, h: Matrix, lambdas: Sequence[complex]) -> Matrix:
@@ -461,14 +465,16 @@ def reconstruct_m(omega: Matrix, h: Matrix, lambdas: Sequence[complex]) -> Matri
 
 
 def weight_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
-    """alpha = sum_a v_a w_a, the loop factor of the weighted ansatz."""
-    return sum((va * wa for va, wa in zip(v, w)), complex(0.0))
+    """alpha = sum_a v_a w_a, the loop factor of the weighted ansatz.
 
-
-def _nonzero_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
-    alpha = weight_overlap(v, w)
-    if alpha == 0:
-        raise ValueError("weight overlap alpha = sum(v_a * w_a) must be nonzero")
+    Raises ValueError unless |alpha| is finite and above n * eps * sum_a
+    |v_a w_a|, eps = 2^-52, the rounding bound of the sum.
+    """
+    alpha = sum((va * wa for va, wa in zip(v, w)), complex(0.0))
+    bound = len(v) * 2.0**-52 * sum(abs(va * wa) for va, wa in zip(v, w))
+    if not bound < abs(alpha) < np.inf:
+        raise ValueError(f"weight overlap alpha = sum(v_a * w_a) must be nonzero and finite: "
+                         f"|alpha| = {abs(alpha):.3g}, its rounding bound {bound:.3g}")
     return alpha
 
 
@@ -482,24 +488,30 @@ def _require_weights(n: int, v: Sequence[complex], w: Sequence[complex]) -> None
 
 def weighted_hadamard_check(
     omega: Matrix, v: Sequence[complex], w: Sequence[complex], tol: float = DEFAULT_TOL
-) -> Comparison:
+) -> WeightedHadamardCheck:
     """The weighted Hadamard identity Omega^{o-1} V W = alpha (Omega^-1)^t, in two parts.
 
     Omega^{o-1} is the entrywise reciprocal, alpha = weight_overlap(v, w).
     Entry (i, a) reads v_a w_a = alpha Omega[i, a] (Omega^-1)[a, i]; its
     sum over i is n v_a w_a = alpha. So for alpha != 0 the identity holds
     exactly when Omega is a GHM and v_a w_a = alpha / n for every a. The
-    residual is the larger of hadamard.ghm_residual(Omega) (inf for a zero
-    entry or a singular Omega) and the overlap spread max|v_a w_a - alpha/n|.
-    alpha = 0 raises ValueError: the identity then says only v o w = 0.
+    residual is the larger of ghm_residual = hadamard.ghm_residual(Omega)
+    and overlap_spread = max|v_a w_a - alpha/n|. ok also needs the TL
+    normalisation max|v_a w_a - 1| <= tol, which the identity does not
+    test. An alpha zero to rounding raises ValueError: the identity then
+    says only v o w = 0.
     """
     omega = linalg.as_matrix(omega)
     n = linalg._require_square(omega, "master matrix")
     _require_weights(n, v, w)
-    alpha = _nonzero_overlap(v, w)
-    spread = np.abs(np.asarray(v, dtype=np.complex128) * np.asarray(w) - alpha / n).max()
-    residual = _worst(hadamard.ghm_residual(omega, tol), spread)
-    return Comparison(residual <= tol, residual)
+    alpha = weight_overlap(v, w)
+    vw = np.asarray(v, dtype=np.complex128) * np.asarray(w)
+    ghm = hadamard.ghm_residual(omega)
+    spread = float(np.abs(vw - alpha / n).max())
+    normalisation = float(np.abs(vw - 1).max())
+    residual = _worst(ghm, spread)
+    ok = _worst(residual, normalisation) <= tol
+    return WeightedHadamardCheck(ok, residual, ghm, spread, normalisation)
 
 
 # The two printed 9x9 reference generators. Entries lie in {0, 1, w, w^2}

@@ -787,6 +787,8 @@ class TestErrors:
             (["check", "butson", "--q", str(10**400), "--matrix"], SCALAR, "too large"),
             # v o w = 0 would pass the identity with any Omega.
             (["check", "weighted-hadamard", "--v", "1,0", "--w", "0,1", "--omega"], MATRIX, "nonzero"),
+            # 1e200 * 1e200 overflows: alpha is not finite.
+            (["check", "weighted-hadamard", "--v", "1e200,1", "--w", "1e200,1", "--omega"], MATRIX, "finite"),
             # Powers of order 10^200 overflow the braid products: a NaN residual.
             *(
                 (["check", "tl", "--ansatz"], ANSATZ | {"m": c, "exponents": e}, "JSON")
@@ -806,7 +808,7 @@ class TestErrors:
             "master4_power_underflow", "generator_power_overflow", "weight_length_mismatch",
             "spectral_samples_memory", "negative_seed", "fourier_size_memory",
             "master_f4_huge_k", "master_f6_huge_k", "master_fourier_huge_n", "butson_huge_q",
-            "weighted_zero_overlap", "tl_nan_braid_10_200", "tl_nan_braid_10_160",
+            "weighted_zero_overlap", "weighted_overflowing_overlap", "tl_nan_braid_10_200", "tl_nan_braid_10_160",
             "tl_nan_braid_2_600",
         ],
     )
@@ -834,15 +836,54 @@ class TestErrors:
         assert result.stderr.startswith("error: embedded dimension 3**sites exceeds")
         assert result.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("entries", [[[1, 0], [0, 1]], [[1, 2], [2, 4]]], ids=["zero_entry", "singular"])
-    def test_non_ghm_omega_fails_both_checks_with_null_residual(self, capsys, workdir, entries):
+    @pytest.mark.parametrize(
+        "entries, residual", [([[1, 0], [0, 1]], None), ([[1, 2], [2, 4]], 4.0)], ids=["zero_entry", "singular"]
+    )
+    def test_non_ghm_omega_fails_both_checks(self, capsys, workdir, entries, residual):
+        # A zero entry has no residual (null); a singular Omega has a number.
         write_matrix("om.json", as_matrix(entries))
         code, payload = run_json(capsys, "check", "ghm", "--matrix", "om.json")
-        assert (code, payload["ok"], payload["max_residual"]) == (1, False, None)
+        assert (code, payload["ok"], payload["max_residual"]) == (1, False, residual)
         code, payload = run_json(
             capsys, "check", "weighted-hadamard", "--omega", "om.json", "--v", "1,1", "--w", "1,1"
         )
-        assert (code, payload["ok"], payload["residual"]) == (1, False, None)
+        assert (code, payload["ok"], payload["residual"], payload["ghm_residual"]) == (1, False, residual, residual)
+
+    def test_overlap_at_rounding_level_exits_2_on_every_verb(self, capsys, workdir):
+        # Fourier 3 with v = 1 and w = (1, w, w^2) from cmath.exp: alpha is
+        # the rounding of a zero sum, not zero, and no verb may read it as data.
+        w = tuple(cmath.exp(2j * cmath.pi * k / 3) for k in range(3))
+        assert 0 < abs(sum(w)) < 1e-15
+        spec = fourier_master(3)
+        m = reconstruct_m(master_matrix(spec), fourier(3), spec.lambdas)
+        doc = {"m": matrix_to_dict(m), "exponents": [0, 1, 2], "sites": 3,
+               "v": linalg.complex_to_json((1, 1, 1)), "w": linalg.complex_to_json(w)}
+        (workdir / "a.json").write_text(json.dumps(doc))
+        write_matrix("om.json", fourier(3))
+        for argv in (
+            *(["check", verb, "--ansatz", "a.json"] for verb in ("tl", "hecke", "braid", "ybe")),
+            ["check", "weighted-hadamard", "--omega", "om.json", "--v", "1,1,1", "--w", ",".join(map(repr, w))],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: weight overlap") and "rounding bound" in err
+            assert err.count("\n") == 1
+
+    def test_weighted_check_asks_the_tl_normalisation(self, capsys, workdir):
+        # v o w = 2 satisfies the weighted identity at alpha = 6, and check tl
+        # fails on the same weights (braid residual 3 * 2^2 * (2 - 1) = 12).
+        write_matrix("om.json", fourier(3))
+        code, payload = run_json(
+            capsys, "check", "weighted-hadamard", "--omega", "om.json", "--v", "1,1,1", "--w", "2,2,2"
+        )
+        assert (code, payload["ok"], payload["tl_normalisation"], payload["overlap_spread"]) == (1, False, 1.0, 0.0)
+        assert payload["residual"] == payload["ghm_residual"] <= 1e-15
+        spec = fourier_master(3)
+        m = reconstruct_m(master_matrix(spec), fourier(3), spec.lambdas)
+        (workdir / "a.json").write_text(json.dumps(TLAnsatz(m, spec.exponents, (1, 1, 1), (2, 2, 2)).to_dict()))
+        code, payload = run_json(capsys, "check", "tl", "--ansatz", "a.json")
+        assert (code, payload["ok"]) == (1, False)
+        assert payload["braid_residual"] == pytest.approx(12.0)
 
 
 def _reject_constant(name):

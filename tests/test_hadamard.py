@@ -24,7 +24,7 @@ from tlhad.hadamard import (
     permutation_matrix,
     root_phases,
 )
-from tlhad.linalg import DEFAULT_TOL, as_matrix, diag, identity, kron, unit_root
+from tlhad.linalg import DEFAULT_TOL, as_matrix, diag, identity, kron, max_abs, unit_root
 
 
 def random_unimodular(rng, n):
@@ -109,10 +109,17 @@ class TestGhm:
         assert not v.is_ghm
         assert math.isinf(v.max_residual)
 
-    def test_singular_matrix_gives_infinite_residual(self):
+    def test_singular_matrix_gives_finite_residual(self):
+        # u (u^{o-1})^t = [[2, 2], [2, 2]]: a defect of 2 off the diagonal.
         v = is_ghm(as_matrix([[1, 1], [1, 1]]))
         assert not v.is_ghm
-        assert math.isinf(ghm_residual(as_matrix([[1, 1], [1, 1]])))
+        assert v.max_residual == ghm_residual(as_matrix([[1, 1], [1, 1]])) == 2.0
+
+    @pytest.mark.parametrize("modulus", [10, 1e2, 1e4, 1e5, 1e6])
+    def test_f4_residual_does_not_grow_with_conditioning(self, modulus):
+        # cond(F4(a)) grows like |a|; the identity's sums of ratios do not.
+        for a in (modulus, modulus * unit_root(1, 8)):
+            assert ghm_residual(f4_family(a)) <= 1e-15
 
     def test_scaled_identity_is_not_ghm(self):
         assert not is_ghm(2 * identity(2)).is_ghm
@@ -132,6 +139,52 @@ class TestGhm:
             v = is_ghm(u)
             assert v.is_chm
             assert v.is_ghm
+
+
+def inverse_form_residual(u):
+    """max|n u[i, j] (u^-1)[j, i] - 1|, the GHM identity through an inverse:
+    the reference whose verdict ghm_residual must give away from tol."""
+    u = np.asarray(u)
+    return max_abs(len(u) * u * np.linalg.inv(u).T - 1)
+
+
+def _moved_ghm(family, perturb, rng):
+    """A Fourier, F4, F6 or Dita GHM after an equivalence move with random
+    permutations and non-unimodular diagonals; with perturb, one entry is
+    then scaled by 1 + d, 1e-6 <= |d| <= 1, so it is no longer a GHM."""
+    phase = lambda: unit_root(int(rng.integers(0, 360)), 360)
+    if family == "fourier":
+        n = int(rng.integers(2, 7))
+        u = fourier(n, next(int(ell) for ell in rng.permutation(n) + 1 if math.gcd(int(ell), n) == 1))
+    elif family == "f4":
+        u = f4_family(10 ** rng.uniform(-2, 2) * phase())
+    elif family == "f6":
+        u = f6_family(10 ** rng.uniform(-1, 1) * phase(), 10 ** rng.uniform(-1, 1) * phase())
+    else:
+        u = dita(fourier(2), [fourier(3), fourier(3) @ diag([1, phase(), phase()])])
+    n = len(u)
+    left, right = 10 ** rng.uniform(-0.3, 0.3, size=(2, n)) * random_unimodular(rng, (2, n))
+    perms = (tuple(int(i) for i in rng.permutation(n)) for _ in range(2))
+    u = apply_equivalence(u, EquivalenceMove(next(perms), tuple(left), tuple(right), next(perms)))
+    if perturb:
+        i, j = rng.integers(0, n, size=2)
+        u[i, j] *= 1 + 10 ** rng.uniform(-6, 0) * phase()
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["fourier", "f4", "f6", "dita"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_verdict_is_the_inverse_forms(family, perturb, seed):
+    u = _moved_ghm(family, perturb, np.random.default_rng(seed))
+    product, reference = ghm_residual(u), inverse_form_residual(u)
+    # Compared only where both residuals are 10x away from tol.
+    if all(r <= DEFAULT_TOL / 10 or r >= 10 * DEFAULT_TOL for r in (product, reference)):
+        assert (product <= DEFAULT_TOL) is (reference <= DEFAULT_TOL)
+    assert (product <= DEFAULT_TOL) is (not perturb)
 
 
 class TestButson:

@@ -114,10 +114,12 @@ class TestMasterMatrix:
         check = check_master_condition(MasterSpec((1, -1), (0, 10**7 + 1)))
         assert check.ok and check.max_residual == 0.0
 
-    def test_small_exponents_are_numpys_power(self):
-        z = np.array([0.5 + 0.25j, -1, 1j, unit_root(2, 7), 1.3 - 0.2j])
-        exponents = list(range(-99, 100))
-        assert np.array_equal(power_table(z, exponents), z[:, None] ** np.array(exponents, dtype=float))
+    def test_small_exponents_are_exact(self):
+        # Python's complex power multiplies out these integer exponents too,
+        # and every product of these bases is exact.
+        z = [-1, 1j, 2, 0.5, -2j]
+        exponents = list(range(-60, 61))
+        assert np.array_equal(power_table(z, exponents), [[complex(b) ** e for e in exponents] for b in z])
 
     def test_large_power_overflow_raises(self):
         with pytest.raises(ValueError, match="overflow"):
@@ -179,6 +181,11 @@ class TestMasterCondition:
     def test_f4_master_passes(self):
         assert check_master_condition(f4_master(2, 1)).ok
 
+    def test_ratio_scaled_domain(self):
+        # Only the ratios enter: unscaled, 1e5^71 overflows.
+        check = check_master_condition(MasterSpec((1e5, -1e5), (0, 71)))
+        assert check.ok and check.max_residual == 0.0
+
     def test_generic_spec_fails(self):
         check = check_master_condition(MasterSpec((1, 2), (0, 1)))
         assert not check.ok
@@ -199,21 +206,27 @@ class TestMasterCondition:
              "f6_60_3_5", "f6_200_7_11", "nest_2x3"],
     )
     def test_agrees_with_scalar_loop(self, spec):
-        # The vectorized residuals against p(lambda_i / lambda_j) taken one
-        # ratio at a time, and against Python complex arithmetic one
-        # exponent at a time. Python and numpy round the ratio and the power
-        # differently, by about eps per factor, so that bound grows with the
-        # exponents.
+        # The residuals against the exact phases, and against Python complex
+        # arithmetic one exponent at a time. lambda_i = exp(2 pi i t_i / L)
+        # exactly; a float lambda is within eps/2 of it, relative, and the
+        # power z^e multiplies that by e, so entry (i, j) is within
+        # eps * sum_a n_a of the exact sum, plus the rounding of its n terms.
+        # Python and numpy round the ratio and the power differently, by
+        # about eps per factor, so that bound grows with the exponents.
         n = spec.size
-        lams = np.asarray(spec.lambdas)
+        eps = np.finfo(float).eps
+        turns = [Fraction(cmath.phase(z) / (2 * math.pi) % 1).limit_denominator(10**4) for z in spec.lambdas]
+        period = math.lcm(*(f.denominator for f in turns))
+        t = [int(f * period) for f in turns]
+        exact_tol = eps * (sum(spec.exponents) + 4 * n)
         python_tol = 4 * n * max(spec.exponents) * 2.3e-16
         residuals = check_master_condition(spec).residuals
         for i, li in enumerate(spec.lambdas):
             for j, lj in enumerate(spec.lambdas):
                 want = n * (i == j)
-                scalar = abs(master_polynomial_eval(spec.exponents, lams[i] / lams[j]) - want)
+                exact = abs(sum(unit_root((t[i] - t[j]) * e, period) for e in spec.exponents) - want)
                 python = abs(sum((li / lj) ** e for e in spec.exponents) - want)
-                assert abs(residuals[i, j] - scalar) <= 1e-14
+                assert abs(residuals[i, j] - exact) <= exact_tol
                 assert abs(residuals[i, j] - python) <= python_tol
 
     def test_agrees_with_inverse_form(self):
@@ -671,9 +684,12 @@ class TestNonMasterFixtures:
         assert is_chm(h1(1j))
 
     def test_h1_at_two_is_not_ghm(self):
+        # Entry (2, 3) of u (u^{o-1})^t is sum_k u[2, k] / u[3, k]
+        # = 1 - 1 + 1/a - a + a i - i/a = (1/a - a)(1 - i), at a = 2 of
+        # modulus (3/2) sqrt(2) = 3/sqrt(2), the largest entry.
         v = is_ghm(h1(2))
         assert not v.is_ghm
-        assert v.max_residual == pytest.approx(0.4714045207910318, rel=1e-9)
+        assert v.max_residual == pytest.approx(3 / math.sqrt(2), rel=1e-12)
 
     def test_h1_generic_point_is_not_ghm(self):
         assert not is_ghm(h1(0.5 + 0.5j)).is_ghm

@@ -8,10 +8,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_dump_and_compare_run_on_this_checkout(tmp_path):
-    # This catches the tool breaking on its own checkout. It does not catch
-    # a dump of another checkout failing because these test modules, which
-    # `dump` loads for its inputs and cases, use a name or a signature that
-    # the other checkout's library lacks.
+    # This catches the tool breaking on its own checkout. The inputs and
+    # cases come from this checkout's test modules, built in a child process
+    # with this checkout's library, so a dump of another checkout does not
+    # import them.
     dump = tmp_path / "dump.json"
     with open(dump, "w") as fh:
         proc = subprocess.run(

@@ -793,10 +793,20 @@ class TestWeightedHadamard:
         assert not check.ok
 
     def test_zero_entry_rejected(self):
-        # A zero entry, like a singular Omega, makes ghm_residual inf: a failed
+        # A zero entry makes ghm_residual inf, and a singular Omega gives a
+        # finite one (Omega (Omega^{o-1})^t = [[2, 1], [4, 2]]): a failed
         # verdict, not an error.
-        for omega in ([[1, 0], [1, 1]], [[1, 2], [2, 4]]):
-            assert weighted_hadamard_check(as_matrix(omega), (1, 1), (1, 1)) == (False, math.inf)
+        check = weighted_hadamard_check(as_matrix([[1, 0], [1, 1]]), (1, 1), (1, 1))
+        assert (check.ok, check.max_residual) == (False, math.inf)
+        check = weighted_hadamard_check(as_matrix([[1, 2], [2, 4]]), (1, 1), (1, 1))
+        assert (check.ok, check.max_residual) == (False, 4.0)
+
+    def test_parts(self):
+        # v o w = 2 passes the identity at alpha = 6 but not the TL normalisation.
+        check = weighted_hadamard_check(fourier(3), (2, 2, 2), (1, 1, 1))
+        assert check.max_residual == check.ghm_residual <= 1e-15
+        assert check.overlap_spread == 0.0
+        assert (check.ok, check.tl_normalisation) == (False, 1.0)
 
     def test_zero_overlap_refused(self):
         # v o w = 0 satisfies the identity for any Omega without zero entries.
@@ -824,7 +834,9 @@ class TestWeightedHadamard:
         omega = _omega(family, rng)
         v, w = _weights(weights, len(omega), rng)
         expected = identity_residual(omega, v, w) <= 1e-9
-        assert weighted_hadamard_check(omega, v, w).ok is expected
+        check = weighted_hadamard_check(omega, v, w)
+        assert (check.max_residual <= 1e-9) is expected
+        assert check.ok is (expected and check.tl_normalisation <= 1e-9)
         assert expected is (family != "random" and weights != "random")
 
     def test_no_other_alpha_can_pass(self):
