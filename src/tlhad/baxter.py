@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -101,19 +100,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class BraidData:
-    """Hecke generator R_check with its parameter q; the loop factor is (q + 1/q)^2."""
+class BraidData(linalg._Frozen):
+    """Hecke generator R_check with its parameter q; the loop factor is (q + 1/q)^2.
 
-    q: complex
-    r_check: Matrix
+    Immutable, equal only to itself, and weakly referenceable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", complex(self.q))
-        if self.q == 0:
+    def __init__(self, q: complex, r_check: Matrix) -> None:
+        q = complex(q)
+        if q == 0:
             raise ValueError("Hecke parameter q must be nonzero")
-        object.__setattr__(self, "r_check", linalg.as_matrix(self.r_check))
-        linalg._require_square(self.r_check, "braid generator")
+        r_check = linalg.as_matrix(r_check)
+        linalg._require_square(r_check, "braid generator")
+        self._set(q=q, r_check=r_check)
 
     @property
     def local_dim(self) -> int:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ __all__ = [
 BUTSON_SCAN_LIMIT = 36
 
 
-@dataclass(frozen=True)
-class HadamardVerdict:
+class HadamardVerdict(NamedTuple):
     """Classification of one matrix: CHM? GHM? Butson order if any.
 
     max_residual is ghm_residual(u): inf when the matrix has a zero
@@ -73,29 +72,32 @@ class HadamardVerdict:
     max_residual: float
 
 
-@dataclass(frozen=True)
-class EquivalenceMove:
+class EquivalenceMove(linalg._Value):
     """Hadamard equivalence move U -> P(left_perm) D(left_diag) U D(right_diag) P(right_perm).
 
     Permutations are 0-based images: P(perm)[i, perm[i]] = 1. Diagonal
     entries must be nonzero (invertible diagonals preserve the GHM
-    property; unimodular ones preserve CHM).
+    property; unimodular ones preserve CHM). The fields are stored as
+    tuples: ints for the permutations, complex numbers for the diagonals.
     """
 
-    left_perm: tuple[int, ...]
-    left_diag: tuple[complex, ...]
-    right_diag: tuple[complex, ...]
-    right_perm: tuple[int, ...]
+    __slots__ = ("left_perm", "left_diag", "right_diag", "right_perm")
 
-    def __post_init__(self) -> None:
-        for name, perm in (("left_perm", self.left_perm), ("right_perm", self.right_perm)):
+    def __init__(self, left_perm, left_diag, right_diag, right_perm) -> None:
+        for name, perm in (("left_perm", left_perm), ("right_perm", right_perm)):
             if sorted(perm) != list(range(len(perm))):
                 raise ValueError(f"{name} is not a permutation of 0..{len(perm) - 1}: {perm}")
-        for name, d in (("left_diag", self.left_diag), ("right_diag", self.right_diag)):
+        for name, d in (("left_diag", left_diag), ("right_diag", right_diag)):
             if any(z == 0 for z in d):
                 raise ValueError(f"{name} must have nonzero entries")
-        if len(self.left_perm) != len(self.left_diag) or len(self.right_perm) != len(self.right_diag):
+        if len(left_perm) != len(left_diag) or len(right_perm) != len(right_diag):
             raise ValueError("permutation and diagonal sizes must agree on each side")
+        self._set(
+            left_perm=tuple(int(p) for p in left_perm),
+            left_diag=tuple(complex(z) for z in left_diag),
+            right_diag=tuple(complex(z) for z in right_diag),
+            right_perm=tuple(int(p) for p in right_perm),
+        )
 
 
 def permutation_matrix(perm) -> Matrix:

@@ -17,6 +17,10 @@ nonempty complex numpy vectors (matrix_payload gives a matrix document of
 that kind) to the same bytes as json.dumps of its list form, in pieces of a
 bounded number of array entries, formatting each distinct entry of an
 array once; it makes every check before its first piece.
+
+The bases of the package's immutable types live here as well: _Frozen
+refuses assignment after __init__, and _Value adds equality, hashing, repr
+and pickling by the fields that __slots__ names.
 """
 from __future__ import annotations
 
@@ -62,6 +66,53 @@ Matrix = np.ndarray
 
 class SingularMatrixError(ValueError):
     """The matrix is singular, or too badly conditioned to invert at the tolerance."""
+
+
+class _Frozen:
+    """Base of the immutable types: __init__ sets each attribute once, through _set.
+
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """An immutable value whose __slots__ name its fields in constructor order.
+
+    Equality, hashing, repr and pickling go by those fields; unpickling calls
+    the constructor, so every instance has passed its validation.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def as_matrix(entries) -> Matrix:

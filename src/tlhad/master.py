@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ _DEGENERACY_TOL = 1e-12
 PIGEONHOLE_ORDER_LIMIT = 48
 
 
-@dataclass(frozen=True)
-class MasterSpec:
+class MasterSpec(linalg._Value):
     """Eigenvalues and exponents of a candidate master matrix.
 
     Construction rejects degenerate data: zero or (numerically) repeated
@@ -76,14 +74,11 @@ class MasterSpec:
     sequences is significant and preserved.
     """
 
-    lambdas: tuple[complex, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("lambdas", "exponents")
 
-    def __post_init__(self) -> None:
-        lambdas = tuple(complex(z) for z in self.lambdas)
-        exponents = tuple(int(e) for e in self.exponents)
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "exponents", exponents)
+    def __init__(self, lambdas, exponents) -> None:
+        lambdas = tuple(complex(z) for z in lambdas)
+        exponents = tuple(int(e) for e in exponents)
         n = len(lambdas)
         if n == 0 or len(exponents) != n:
             raise ValueError(
@@ -103,6 +98,7 @@ class MasterSpec:
                         f"eigenvalues {i} and {j} are degenerate: "
                         f"{lambdas[i]} vs {lambdas[j]}"
                     )
+        self._set(lambdas=lambdas, exponents=exponents)
 
     @property
     def size(self) -> int:
@@ -123,45 +119,41 @@ class MasterSpec:
         )
 
 
-@dataclass(frozen=True)
-class NestingStage:
-    """One factor of an iterated Fourier construction."""
+class NestingStage(linalg._Value):
+    """One factor of an iterated Fourier construction.
 
-    p: int
-    k: int = 1
-    g: tuple[int, ...] = ()
-    f: tuple[int, ...] = ()
+    g and f may be any integer sequences; empty ones mean all zeros.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "k", int(self.k))
-        g = tuple(int(x) for x in self.g) if self.g else (0,) * self.p
-        f = tuple(int(x) for x in self.f) if self.f else (0,) * self.p
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "f", f)
-        if self.p < 2:
+    __slots__ = ("p", "k", "g", "f")
+
+    def __init__(self, p, k=1, g=(), f=()) -> None:
+        p, k = int(p), int(k)
+        g = tuple(int(x) for x in g) or (0,) * p
+        f = tuple(int(x) for x in f) or (0,) * p
+        if p < 2:
             raise ValueError("stage size p must be at least 2")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("stage multiplier k must be positive")
-        if len(g) != self.p or len(f) != self.p:
-            raise ValueError(f"g and f must each have length p={self.p}")
+        if len(g) != p or len(f) != p:
+            raise ValueError(f"g and f must each have length p={p}")
         if any(x < 0 for x in g) or any(x < 0 for x in f):
             raise ValueError("g and f entries must be nonnegative")
+        self._set(p=p, k=k, g=g, f=f)
 
 
-@dataclass(frozen=True)
-class NestingSpec:
+class NestingSpec(linalg._Value):
     """Stages of an iterated Fourier construction, outermost first."""
 
-    stages: tuple[NestingStage, ...]
+    __slots__ = ("stages",)
 
-    def __post_init__(self) -> None:
-        stages = tuple(self.stages)
-        object.__setattr__(self, "stages", stages)
+    def __init__(self, stages) -> None:
+        stages = tuple(stages)
         if not stages:
             raise ValueError("need at least one nesting stage")
         if not all(isinstance(s, NestingStage) for s in stages):
             raise ValueError("stages must be NestingStage records")
+        self._set(stages=stages)
 
     def to_dict(self) -> dict:
         return {
@@ -194,8 +186,7 @@ class MasterConditionCheck(NamedTuple):
     residuals: Matrix
 
 
-@dataclass(frozen=True)
-class PigeonholeObstruction:
+class PigeonholeObstruction(NamedTuple):
     """Proof that a matrix is not a master matrix with gcd-1 exponents.
 
     All entries are root_order-th roots of unity, yet the matrix has

@@ -35,7 +35,6 @@ two printed 9x9 reference generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class TLAnsatz:
     """Data of one local generator: matrix, exponents, weights, site count.
 
@@ -73,25 +71,19 @@ class TLAnsatz:
     block structure, and the reference generators depend on it.
     """
 
-    m: Matrix
-    exponents: tuple[int, ...]
-    v: tuple[complex, ...] | None = None
-    w: tuple[complex, ...] | None = None
-    sites: int = 3
-
-    def __post_init__(self) -> None:
-        self.m = linalg.as_matrix(self.m)
+    def __init__(self, m: Matrix, exponents, v=None, w=None, sites: int = 3) -> None:
+        self.m = linalg.as_matrix(m)
         n = linalg._require_square(self.m, "ansatz matrix")
-        self.exponents = tuple(int(e) for e in self.exponents)
+        self.exponents = tuple(int(e) for e in exponents)
         if len(self.exponents) != n:
             raise ValueError(
                 f"need {n} exponents for a {n}x{n} matrix, got {len(self.exponents)}"
             )
-        self.v = (1.0 + 0j,) * n if self.v is None else tuple(complex(z) for z in self.v)
-        self.w = (1.0 + 0j,) * n if self.w is None else tuple(complex(z) for z in self.w)
+        self.v = (1.0 + 0j,) * n if v is None else tuple(complex(z) for z in v)
+        self.w = (1.0 + 0j,) * n if w is None else tuple(complex(z) for z in w)
         if len(self.v) != n or len(self.w) != n:
             raise ValueError("weight vectors must have one entry per exponent")
-        self.sites = int(self.sites)
+        self.sites = int(sites)
         if self.sites < 2:
             raise ValueError("need at least 2 sites")
         weight_overlap(self.v, self.w)
@@ -135,8 +127,7 @@ def _worst(*residuals: float) -> float:
     return float(np.max(residuals))
 
 
-@dataclass(frozen=True)
-class TLReport:
+class TLReport(NamedTuple):
     """Worst residuals of the three relation families, plus the loop factor."""
 
     loop_residual: float

@@ -279,6 +279,15 @@ class TestEquivalenceMoves:
         with pytest.raises(ValueError):
             EquivalenceMove((0, 1), (1, 1), (1, 1), (0, 2))
 
+    def test_move_fields_become_tuples_of_ints_and_complex(self):
+        move = EquivalenceMove(np.array([1, 0]), np.array([1, 1j]), [2.0, np.complex128(1)], (0, 1))
+        assert move.left_perm == (1, 0) and all(type(p) is int for p in move.left_perm + move.right_perm)
+        assert move.left_diag == (1, 1j) and all(type(z) is complex for z in move.left_diag + move.right_diag)
+        assert move == EquivalenceMove((1, 0), (1, 1j), (2, 1), (0, 1))
+        assert hash(EquivalenceMove((0, 1), np.array([1, 1]), (1, 1), (0, 1))) == hash(
+            EquivalenceMove((0, 1), (1, 1), (1, 1), (0, 1))
+        )
+
 
 class TestDephase:
     def test_first_row_and_column_become_ones(self):

@@ -398,6 +398,12 @@ class TestNesting:
         with pytest.raises(ValueError):
             NestingStage(2, 1, g=(0,))
 
+    def test_stage_takes_any_integer_sequence(self):
+        stage = NestingStage(np.int64(2), 1, np.array([0, 1]), [np.int64(3), 0])
+        assert stage == NestingStage(2, 1, (0, 1), (3, 0))
+        assert type(stage.p) is int and type(stage.g) is tuple and type(stage.g[1]) is int
+        assert NestingStage(3, 1, np.array([], dtype=int)).g == (0, 0, 0)
+
     def test_json_round_trip(self):
         spec = NestingSpec(
             (NestingStage(2, 2, (1, 0), (0, 3)), NestingStage(3, 1))
