@@ -107,7 +107,7 @@ class BraidData(linalg._Frozen):
     """
 
     def __init__(self, q: complex, r_check: Matrix) -> None:
-        q = complex(q)
+        q = linalg.finite_complex(q, "q")
         if q == 0:
             raise ValueError("Hecke parameter q must be nonzero")
         r_check = linalg.as_matrix(r_check)
@@ -135,7 +135,7 @@ def q_from_nu(nu: complex) -> complex:
     with nonnegative imaginary part. Any root of the quadratic works for
     the Hecke condition, so the branch is fixed purely for determinism.
     """
-    nu = complex(nu)
+    nu = linalg.finite_complex(nu, "nu")
     if nu == 0:
         raise ValueError("loop factor nu must be nonzero")
     return (cmath.sqrt(nu) + cmath.sqrt(nu - 4)) / 2
@@ -147,9 +147,8 @@ def braid_from_tl(t_local: Matrix, nu: complex) -> BraidData:
     Its Hecke defect is H = (T^2 - nu T) / nu, so hecke_residual is
     max|T^2 - nu T| / |nu|: zero exactly when T^2 = nu T.
     """
-    t_local = linalg.as_matrix(t_local)
+    t_local = linalg._finite_matrix(t_local)
     dim = linalg._require_square(t_local, "local generator")
-    nu = complex(nu)
     q = q_from_nu(nu)
     return BraidData(q, q * linalg.identity(dim) - t_local / cmath.sqrt(nu))
 
@@ -256,7 +255,7 @@ def check_braid(r_check: Matrix) -> float:
     R23 = I (x) R_check, taken one strand-0 column block at a time as the
     word D_+++ of _mirror_words. R_check need not be invertible.
     """
-    r_check = linalg.as_matrix(r_check)
+    r_check = linalg._finite_matrix(r_check)
     n = linalg.local_dim(r_check, "braid generator")
     # A fresh C-ordered stack, as in ybe_residuals, so the products match.
     ops = np.stack((r_check,))
@@ -266,7 +265,7 @@ def check_braid(r_check: Matrix) -> float:
 
 def baxterize(b: BraidData, u: complex, tol: float = DEFAULT_TOL) -> Matrix:
     """Spectral generator R_check(u) = u R_check - (1/u) R_check^-1."""
-    u = complex(u)
+    u = linalg.finite_complex(u, "u")
     if u == 0:
         raise ValueError("spectral parameter must be nonzero")
     rinv = linalg.inverse(b.r_check, tol)
@@ -275,6 +274,7 @@ def baxterize(b: BraidData, u: complex, tol: float = DEFAULT_TOL) -> Matrix:
 
 def spectral_samples(count: int = 20, seed: int = 42) -> list[tuple[complex, complex]]:
     """Deterministic (u, w) pairs: exp(z) with z uniform in the box [-1, 1]^2."""
+    count, seed = linalg.json_int(count, "count"), linalg.json_int(seed, "seed")
     if count < 1:
         raise ValueError("sample count must be positive")
     if seed < 0:
@@ -466,5 +466,5 @@ def check_ybe(r: Matrix) -> float:
     satisfies the braid equation, and the two defects differ by a
     permutation of entries, so this is check_braid(Pi @ r).
     """
-    r = linalg.as_matrix(r)
+    r = linalg._finite_matrix(r)
     return check_braid(flip_operator(linalg.local_dim(r, "R-matrix")) @ r)

@@ -84,6 +84,10 @@ class EquivalenceMove(linalg._Value):
     __slots__ = ("left_perm", "left_diag", "right_diag", "right_perm")
 
     def __init__(self, left_perm, left_diag, right_diag, right_perm) -> None:
+        left_perm = linalg.json_list(left_perm, "left_perm", linalg.json_int)
+        right_perm = linalg.json_list(right_perm, "right_perm", linalg.json_int)
+        left_diag = linalg.json_list(left_diag, "left_diag", linalg.finite_complex)
+        right_diag = linalg.json_list(right_diag, "right_diag", linalg.finite_complex)
         for name, perm in (("left_perm", left_perm), ("right_perm", right_perm)):
             if sorted(perm) != list(range(len(perm))):
                 raise ValueError(f"{name} is not a permutation of 0..{len(perm) - 1}: {perm}")
@@ -92,17 +96,12 @@ class EquivalenceMove(linalg._Value):
                 raise ValueError(f"{name} must have nonzero entries")
         if len(left_perm) != len(left_diag) or len(right_perm) != len(right_diag):
             raise ValueError("permutation and diagonal sizes must agree on each side")
-        self._set(
-            left_perm=tuple(int(p) for p in left_perm),
-            left_diag=tuple(complex(z) for z in left_diag),
-            right_diag=tuple(complex(z) for z in right_diag),
-            right_perm=tuple(int(p) for p in right_perm),
-        )
+        self._set(left_perm=left_perm, left_diag=left_diag, right_diag=right_diag, right_perm=right_perm)
 
 
 def permutation_matrix(perm) -> Matrix:
     """0-1 matrix P with P[i, perm[i]] = 1, so (P @ u)[i] = u[perm[i]]."""
-    perm = tuple(int(p) for p in perm)
+    perm = linalg.json_list(perm, "perm", linalg.json_int)
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
@@ -113,7 +112,7 @@ def permutation_matrix(perm) -> Matrix:
 
 def apply_equivalence(u: Matrix, move: EquivalenceMove) -> Matrix:
     """Apply an equivalence move: P1 D1 u D2 P2."""
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(u)
     n = u.shape[0]
     if u.shape[1] != n or len(move.left_perm) != n or len(move.right_perm) != n:
         raise ValueError(
@@ -133,7 +132,7 @@ def dephase(u: Matrix) -> tuple[Matrix, EquivalenceMove]:
     matrix products, so the result equals apply_equivalence(u, move) up to
     rounding. u itself is only read.
     """
-    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
+    u = linalg._finite_matrix(u)
     n = linalg._require_square(u, "dephase input")
     if np.any(u[:, 0] == 0) or np.any(u[0, :] == 0):
         raise ValueError("dephasing requires nonzero first row and column")
@@ -146,7 +145,7 @@ def dephase(u: Matrix) -> tuple[Matrix, EquivalenceMove]:
 
 def chm_residual(u: Matrix) -> float:
     """Worst violation of the CHM conditions |u_ij| = 1 and u u^dagger = n I."""
-    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
+    u = linalg._finite_matrix(u)
     n = linalg._require_square(u, "CHM input")
     r_mod = float(np.max(np.abs(np.abs(u) - 1.0)))
     r_orto = linalg.max_abs(u @ linalg.dagger(u) - n * linalg.identity(n))
@@ -165,16 +164,17 @@ def _hadamard_defect(u: np.ndarray) -> np.ndarray:
 
 def ghm_residual(u: Matrix) -> float:
     """max|u (u^{o-1})^t - n I|; inf for a zero entry, finite for a singular u."""
-    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
+    u = linalg._finite_matrix(u)
     linalg._require_square(u, "GHM input")
     return linalg.max_abs(_hadamard_defect(u)) if u.all() else math.inf
 
 
 def butson_residual(u: Matrix, q: int) -> float:
     """Largest distance from an entry of u to the nearest q-th root of unity."""
+    q = linalg.json_int(q, "q")
     if q < 1:
         raise ValueError("Butson order must be a positive integer")
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(u)
     angles = np.angle(u)
     nearest = np.exp(2j * np.pi * np.round(angles * q / (2 * np.pi)) / q)
     return linalg.max_abs(u - nearest)
@@ -194,10 +194,11 @@ def root_phases(
     fraction with denominator at most limit. The cost does not grow with
     limit.
     """
+    limit = linalg.json_int(limit, "limit")
     if limit < 1:
         raise ValueError("root order limit must be a positive integer")
     phases = []
-    for row in linalg._finite_matrix(np.asarray(u, dtype=np.complex128)).tolist():
+    for row in linalg._finite_matrix(u).tolist():
         snapped = []
         for z in row:
             phase = _root_phase(z, limit, tol)
@@ -269,6 +270,7 @@ def fourier(n: int, ell: int = 1) -> Matrix:
     n x n result is allocated first, so a size beyond memory fails before
     any root is made.
     """
+    n, ell = linalg.json_int(n, "n"), linalg.json_int(ell, "ell")
     if n < 1:
         raise ValueError("Fourier size must be a positive integer")
     if math.gcd(ell, n) != 1:
@@ -286,7 +288,7 @@ def f4_family(a: complex) -> Matrix:
     every nonzero a. Coincides with the block construction
     dita(fourier(2), [fourier(2), fourier(2) @ diag(1, a)]).
     """
-    a = complex(a)
+    a = linalg.finite_complex(a, "a")
     if a == 0:
         raise ValueError("family parameter must be nonzero")
     return linalg.as_matrix(
@@ -306,8 +308,7 @@ def f6_family(a: complex, b: complex) -> Matrix:
     construction over fourier(2) with blocks fourier(3) and
     fourier(3) @ diag(1, a, b).
     """
-    a = complex(a)
-    b = complex(b)
+    a, b = linalg.finite_complex(a, "a"), linalg.finite_complex(b, "b")
     if a == 0 or b == 0:
         raise ValueError("family parameters must be nonzero")
     w = linalg.unit_root(1, 6)
@@ -331,9 +332,9 @@ def dita(a: Matrix, blocks) -> Matrix:
     a GHM of size n*m (same statement for CHM inputs). Row i of blocks
     multiplies the whole i-th block row.
     """
-    a = linalg.as_matrix(a)
+    a = linalg._finite_matrix(a)
     n = linalg._require_square(a, "outer factor")
-    blocks = [linalg.as_matrix(b) for b in blocks]
+    blocks = [linalg._finite_matrix(b) for b in blocks]
     if len(blocks) != n:
         raise ValueError(f"need exactly {n} blocks, got {len(blocks)}")
     m = linalg._require_square(blocks[0], "block")

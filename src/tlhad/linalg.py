@@ -7,10 +7,15 @@ an n^2 x n^2 operator, inversion by LAPACK with a condition test for
 singularity, roots of unity from integer phases, and integer powers by
 one repeated-squaring ladder.
 
+Every value the library is given is read here, one reader per kind, and a
+refusal is a ValueError naming the argument: json_int takes an __index__
+value, never a bool or a float; finite_complex a finite number, not a bool
+or a string; json_list a sequence of either. A type that keeps a matrix
+copies it (as_matrix); a function that only reads one checks it in place.
+
 The JSON codec of every wire format lives here too. A complex number
-travels as an [re, im] pair of finite JSON numbers, so files round-trip
-bit-exactly through the standard json module; integer fields must be
-JSON integers. The readers raise ValueError naming the offending field.
+travels as an [re, im] pair of finite JSON numbers (json_complex), so
+files round-trip bit-exactly through the standard json module.
 complex_to_json and matrix_to_dict give plain JSON values (lists of
 pairs). The one writer, iterdumps, renders a document that may also hold
 nonempty complex numpy vectors (matrix_payload gives a matrix document of
@@ -25,9 +30,11 @@ and pickling by the fields that __slots__ names.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import json
 import math
+import operator
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,6 +55,7 @@ __all__ = [
     "inverse",
     "json_fields",
     "json_int",
+    "finite_complex",
     "json_complex",
     "json_list",
     "complex_to_json",
@@ -120,15 +128,13 @@ def as_matrix(entries) -> Matrix:
 
     The result is a new array, never the caller's. Raises ValueError for
     anything that is not a nonempty 2-D array of finite complex numbers.
-    A type that keeps a matrix copies it here; a function that only reads
-    its matrix checks it where it lies, with
-    _finite_matrix(np.asarray(x, dtype=np.complex128)), and does not copy.
     """
     return _finite_matrix(np.array(entries, dtype=np.complex128))
 
 
-def _finite_matrix(mat: np.ndarray) -> Matrix:
-    """mat itself, once it is checked to be a nonempty 2-D array of finite entries."""
+def _finite_matrix(entries) -> Matrix:
+    """entries as a complex128 array, itself if it is one, once checked nonempty, 2-D and finite."""
+    mat = np.asarray(entries, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
@@ -144,6 +150,7 @@ def _require_square(mat: Matrix, what: str = "matrix") -> int:
 
 def identity(n: int) -> Matrix:
     """n x n identity."""
+    n = json_int(n, "n")
     if n < 1:
         raise ValueError("identity size must be positive")
     return np.eye(n, dtype=np.complex128)
@@ -151,17 +158,18 @@ def identity(n: int) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     """rows x cols zero matrix."""
+    rows, cols = json_int(rows, "rows"), json_int(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     return np.zeros((rows, cols), dtype=np.complex128)
 
 
 def diag(values: Sequence[complex]) -> Matrix:
-    """Diagonal matrix with the given entries."""
-    vals = np.asarray(list(values), dtype=np.complex128)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("diag expects a nonempty 1-D sequence")
-    return np.diag(vals)
+    """Diagonal matrix with the given entries, each read by finite_complex."""
+    vals = json_list(values, "diagonal entry", finite_complex)
+    if not vals:
+        raise ValueError("diag expects a nonempty sequence")
+    return np.diag(np.array(vals, dtype=np.complex128))
 
 
 def unit_root(k: int, m: int) -> complex:
@@ -171,6 +179,7 @@ def unit_root(k: int, m: int) -> complex:
     reduced mod m on the Python int first, so any integer k gives the root
     of its residue, bit for bit.
     """
+    k, m = json_int(k, "k"), json_int(m, "m")
     if m < 1:
         raise ValueError("root order must be a positive integer")
     return cmath.exp(2j * cmath.pi * (k % m) / m)
@@ -246,13 +255,12 @@ def on_strands(op: Matrix, x: Matrix, strands: tuple[int, int], n: int) -> Matri
 def inverse(a: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     """Matrix inverse by LAPACK (numpy.linalg.inv).
 
-    a must be a finite square matrix. It is no longer copied first: a
-    complex128 array is checked and read where it lies. Raises
+    a must be a finite square matrix; it is read where it lies. Raises
     SingularMatrixError when LAPACK meets a zero pivot, or when the
     condition estimate max_abs(a) * max_abs(inverse) is not finite or
     reaches 1 / tol. The zero matrix is singular even at tol = 0.
     """
-    a = _finite_matrix(np.asarray(a, dtype=np.complex128))
+    a = _finite_matrix(a)
     _require_square(a)
     try:
         inv = np.linalg.inv(a)
@@ -279,40 +287,56 @@ def json_fields(data, what: str, *keys: str) -> tuple:
     return tuple(data[key] for key in keys)
 
 
-def _is_json_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def json_int(value, what: str) -> int:
-    """A JSON integer. Bools and floats, integral ones too, raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
-    return value
+    """An integer: any __index__ value but a bool, as a Python int; else ValueError naming `what`."""
+    if type(value) is not bool:
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def finite_complex(value, what: str) -> complex:
+    """A number, not a bool or a string, with finite parts, as a Python complex; else ValueError."""
+    with contextlib.suppress(TypeError, OverflowError):
+        if type(value) not in _NOT_NUMBERS and cmath.isfinite(z := complex(value)):
+            return z
+    raise ValueError(f"{what} must be a complex number with finite parts, got {value!r}")
+
+
+#: Types that complex() converts but that are not numbers.
+_NOT_NUMBERS = frozenset((bool, np.bool_, str, np.str_))
 
 
 def json_complex(value, what: str) -> complex:
-    """An [re, im] pair of finite JSON numbers (int or float, not bool) as a complex."""
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and _is_json_number(value[0])
-        and _is_json_number(value[1])
-    ):
+    """An [re, im] pair of JSON numbers (int or float, not bool), read by finite_complex."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and set(map(type, value)) <= {int, float}):
         raise ValueError(f"{what} must be a [re, im] pair of JSON numbers, got {value!r}")
     try:
-        z = complex(value[0], value[1])
+        return finite_complex(complex(value[0], value[1]), what)
     except OverflowError as exc:
         raise ValueError(f"{what} has a part beyond the floating-point range") from exc
-    if not cmath.isfinite(z):
-        raise ValueError(f"{what} must have finite parts, got {value!r}")
-    return z
 
 
-def json_list(value, what: str, read: Callable) -> list:
-    """The JSON array `value` with read(item, f"{what} {index}") applied to each item."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} list must be a JSON array, got {type(value).__name__}")
-    return [read(item, f"{what} {idx}") for idx, item in enumerate(value)]
+def json_list(values, what: str, read: Callable) -> tuple:
+    """The items of the sequence `values`, each read by read(item, f"{what} {index}").
+
+    For json_int and finite_complex, one map call over the items reads
+    them all; only a refusal walks them, to name the first bad one.
+    """
+    try:
+        items = tuple(values)
+    except TypeError as exc:
+        raise ValueError(f"{what} list must be a sequence, got {type(values).__name__}") from exc
+    try:
+        if read is json_int and bool not in map(type, items):
+            return tuple(map(operator.index, items))
+        if read is finite_complex and _NOT_NUMBERS.isdisjoint(map(type, items)):
+            out = tuple(map(complex, items))
+            if all(map(cmath.isfinite, out)):
+                return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return tuple(read(item, f"{what} {idx}") for idx, item in enumerate(items))
 
 
 def complex_to_json(z) -> list:
@@ -332,7 +356,7 @@ def matrix_payload(m: Matrix) -> dict:
     pairs. A C-ordered complex128 matrix is not copied: the entries are a
     view of it.
     """
-    m = _finite_matrix(np.asarray(m, dtype=np.complex128))
+    m = _finite_matrix(m)
     rows, cols = m.shape
     return {"rows": rows, "cols": cols, "entries": m.reshape(-1)}
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -77,8 +76,8 @@ class MasterSpec(linalg._Value):
     __slots__ = ("lambdas", "exponents")
 
     def __init__(self, lambdas, exponents) -> None:
-        lambdas = tuple(complex(z) for z in lambdas)
-        exponents = tuple(int(e) for e in exponents)
+        lambdas = linalg.json_list(lambdas, "eigenvalue", linalg.finite_complex)
+        exponents = linalg.json_list(exponents, "exponent", linalg.json_int)
         n = len(lambdas)
         if n == 0 or len(exponents) != n:
             raise ValueError(
@@ -113,10 +112,7 @@ class MasterSpec(linalg._Value):
     @staticmethod
     def from_dict(data: dict) -> "MasterSpec":
         lambdas, exponents = linalg.json_fields(data, "master spec", "lambdas", "exponents")
-        return MasterSpec(
-            tuple(linalg.json_list(lambdas, "eigenvalue", linalg.json_complex)),
-            tuple(linalg.json_list(exponents, "exponent", linalg.json_int)),
-        )
+        return MasterSpec(linalg.json_list(lambdas, "eigenvalue", linalg.json_complex), exponents)
 
 
 class NestingStage(linalg._Value):
@@ -128,9 +124,9 @@ class NestingStage(linalg._Value):
     __slots__ = ("p", "k", "g", "f")
 
     def __init__(self, p, k=1, g=(), f=()) -> None:
-        p, k = int(p), int(k)
-        g = tuple(int(x) for x in g) or (0,) * p
-        f = tuple(int(x) for x in f) or (0,) * p
+        p, k = linalg.json_int(p, "p"), linalg.json_int(k, "k")
+        g = linalg.json_list(g, "g", linalg.json_int) or (0,) * p
+        f = linalg.json_list(f, "f", linalg.json_int) or (0,) * p
         if p < 2:
             raise ValueError("stage size p must be at least 2")
         if k < 1:
@@ -165,17 +161,15 @@ class NestingSpec(linalg._Value):
     @staticmethod
     def from_dict(data: dict) -> "NestingSpec":
         (records,) = linalg.json_fields(data, "nesting", "stages")
-        return NestingSpec(tuple(linalg.json_list(records, "stage", _stage_from_dict)))
+        return NestingSpec(linalg.json_list(records, "stage", _stage_from_dict))
 
 
 def _stage_from_dict(data: dict, what: str) -> NestingStage:
     (p,) = linalg.json_fields(data, what, "p")
-    return NestingStage(
-        p=linalg.json_int(p, f"{what} p"),
-        k=linalg.json_int(data.get("k", 1), f"{what} k"),
-        g=tuple(linalg.json_list(data.get("g", ()), f"{what} g", linalg.json_int)),
-        f=tuple(linalg.json_list(data.get("f", ()), f"{what} f", linalg.json_int)),
-    )
+    try:
+        return NestingStage(p, data.get("k", 1), data.get("g", ()), data.get("f", ()))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 class MasterConditionCheck(NamedTuple):
@@ -210,7 +204,7 @@ def power_table(base, exponents) -> np.ndarray:
     """
     # A trailing axis, as numpy rounds 0-d complex products unlike array ones.
     base = np.asarray(base, dtype=np.complex128)[..., None]
-    exponents = [operator.index(e) for e in exponents]
+    exponents = linalg.json_list(exponents, "exponent", linalg.json_int)
     table = np.ones(base.shape[:-1] + (len(exponents),), dtype=np.complex128)
     squares = [base]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -260,6 +254,7 @@ def fourier_master(n: int, ell: int = 1) -> MasterSpec:
     master_matrix of the result agrees with fourier(n, ell) to rounding, not
     to the bit: by at most 3.0e-14 over n <= 27 and every coprime ell.
     """
+    n, ell = linalg.json_int(n, "n"), linalg.json_int(ell, "ell")
     if n < 1:
         raise ValueError("size must be a positive integer")
     if math.gcd(ell, n) != 1:
@@ -275,6 +270,7 @@ def f4_master(k: int, m: int) -> MasterSpec:
     so that a^2k = -1 and the ratio condition closes. master_matrix equals
     f4_family(a) row-for-row.
     """
+    k, m = linalg.json_int(k, "k"), linalg.json_int(m, "m")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if m % 2 == 0:
@@ -291,6 +287,7 @@ def f6_master(k: int, r: int, s: int) -> MasterSpec:
     and w = unit_root(1, 6); f6_family(a, b) with a = mu^(3r+1),
     b = mu^(3s+2) is the same matrix with rows re-ordered (0,2,4,1,3,5).
     """
+    k, r, s = linalg.json_int(k, "k"), linalg.json_int(r, "r"), linalg.json_int(s, "s")
     if not (0 < r < k and 0 < s < k):
         raise ValueError(f"need 0 < r, s < k, got k={k}, r={r}, s={s}")
     mu = linalg.unit_root(1, 6 * k)
@@ -340,9 +337,9 @@ def pigeonhole_obstruction(
     None when some entry is not a root of unity of order <= max_order,
     or when the row count fits.
     """
-    u = linalg.as_matrix(u)
+    u = linalg._finite_matrix(u)
     linalg._require_square(u, "obstruction input")
-    phases = hadamard.root_phases(u, max_order, tol)
+    phases = hadamard.root_phases(u, linalg.json_int(max_order, "max_order"), tol)
     if phases is None:
         return None
     order = math.lcm(*(r for row in phases for _, r in row))
@@ -378,9 +375,11 @@ def search_master_representation(
     first such spec, else None. A None result is conclusive only within
     the stated bounds.
     """
+    exponent_bound = linalg.json_int(exponent_bound, "exponent_bound")
+    root_order_bound = linalg.json_int(root_order_bound, "root_order_bound")
     if exponent_bound <= 0 or root_order_bound <= 0:
         raise ValueError("search bounds must be positive")
-    u = linalg._finite_matrix(np.asarray(u, dtype=np.complex128))
+    u = linalg._finite_matrix(u)
     n = linalg._require_square(u, "search input")
     ones = np.ones(n, dtype=np.complex128)
     if (
@@ -477,7 +476,7 @@ def h1(a: complex) -> Matrix:
     Hadamard for unimodular a; conjugate-parameter entries are rendered
     with conj(a), not 1/a, so the family is not a thickening.
     """
-    a = complex(a)
+    a = linalg.finite_complex(a, "a")
     if a == 0:
         raise ValueError("family parameter must be nonzero")
     ac = a.conjugate()

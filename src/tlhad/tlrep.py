@@ -74,16 +74,16 @@ class TLAnsatz:
     def __init__(self, m: Matrix, exponents, v=None, w=None, sites: int = 3) -> None:
         self.m = linalg.as_matrix(m)
         n = linalg._require_square(self.m, "ansatz matrix")
-        self.exponents = tuple(int(e) for e in exponents)
+        self.exponents = linalg.json_list(exponents, "exponent", linalg.json_int)
         if len(self.exponents) != n:
             raise ValueError(
                 f"need {n} exponents for a {n}x{n} matrix, got {len(self.exponents)}"
             )
-        self.v = (1.0 + 0j,) * n if v is None else tuple(complex(z) for z in v)
-        self.w = (1.0 + 0j,) * n if w is None else tuple(complex(z) for z in w)
+        self.v = (1.0 + 0j,) * n if v is None else linalg.json_list(v, "v", linalg.finite_complex)
+        self.w = (1.0 + 0j,) * n if w is None else linalg.json_list(w, "w", linalg.finite_complex)
         if len(self.v) != n or len(self.w) != n:
             raise ValueError("weight vectors must have one entry per exponent")
-        self.sites = int(sites)
+        self.sites = linalg.json_int(sites, "sites")
         if self.sites < 2:
             raise ValueError("need at least 2 sites")
         weight_overlap(self.v, self.w)
@@ -108,18 +108,8 @@ class TLAnsatz:
     @staticmethod
     def from_dict(data: dict) -> "TLAnsatz":
         m, exponents, sites = linalg.json_fields(data, "ansatz", "m", "exponents", "sites")
-        weights = {
-            key: tuple(linalg.json_list(data[key], key, linalg.json_complex))
-            for key in ("v", "w")
-            if key in data
-        }
-        return TLAnsatz(
-            linalg.matrix_from_dict(m),
-            tuple(linalg.json_list(exponents, "exponent", linalg.json_int)),
-            weights.get("v"),
-            weights.get("w"),
-            linalg.json_int(sites, "sites"),
-        )
+        v, w = (linalg.json_list(data[k], k, linalg.json_complex) if k in data else None for k in "vw")
+        return TLAnsatz(linalg.matrix_from_dict(m), exponents, v, w, sites)
 
 
 def _worst(*residuals: float) -> float:
@@ -167,6 +157,7 @@ class WeightedHadamardCheck(NamedTuple):
     ghm_residual: float
     overlap_spread: float
     tl_normalisation: float
+    alpha: complex
 
 
 def _matrix_power(squares: list[Matrix], k: int) -> Matrix:
@@ -226,7 +217,8 @@ def build_local_generator(a: TLAnsatz, tol: float = DEFAULT_TOL) -> Matrix:
 
 def embed(local: Matrix, i: int, sites: int, n: int) -> Matrix:
     """I^(i-1) (x) local (x) I^(sites-i-1) with 1-based bond index i."""
-    local = linalg.as_matrix(local)
+    local = linalg._finite_matrix(local)
+    i, sites, n = linalg.json_int(i, "i"), linalg.json_int(sites, "sites"), linalg.json_int(n, "n")
     if local.shape != (n * n, n * n):
         raise ValueError(f"local generator must be {n * n}x{n * n}, got {local.shape}")
     if not 1 <= i <= sites - 1:
@@ -256,11 +248,11 @@ def verify_tl_local(t_local: Matrix, nu: complex, sites: int) -> TLReport:
     bonds act on different tensor factors. Every bond sees the same
     three-strand products, so the report is the same for any sites >= 3.
     """
-    t_local = linalg.as_matrix(t_local)
+    t_local = linalg._finite_matrix(t_local)
     n = linalg.local_dim(t_local, "local generator")
-    if sites < 2:
+    if linalg.json_int(sites, "sites") < 2:
         raise ValueError("need at least 2 sites")
-    nu = complex(nu)
+    nu = linalg.finite_complex(nu, "nu")
     loop = linalg.max_abs(t_local @ t_local - nu * t_local)
     braid = 0.0
     if sites >= 3:
@@ -385,9 +377,9 @@ def check_master4(
     O(n^3) scalars; the ratio sums are (1/c) @ c^t. The worst index is
     the first maximum in (i, j, u) order with u slowest.
     """
-    p = linalg._finite_matrix(np.asarray(p, dtype=np.complex128))
+    p = linalg._finite_matrix(p)
     n = linalg._require_square(p, "eigenvector matrix")
-    lams = np.asarray(lambdas, dtype=np.complex128)
+    lams = np.array(linalg.json_list(lambdas, "eigenvalue", linalg.finite_complex), dtype=np.complex128)
     if lams.shape != (n,) or len(exponents) != n:
         raise ValueError("need one eigenvalue and one exponent per matrix row")
     if not lams.all():
@@ -417,8 +409,8 @@ def eigenvector_condition(
     plain form. The weighted form (v and w both given) also needs
     max|v_a w_a - 1| <= tol. A zero entry of Omega raises ValueError.
     """
-    p = linalg.as_matrix(p)
-    omega = linalg.as_matrix(omega)
+    p = linalg._finite_matrix(p)
+    omega = linalg._finite_matrix(omega)
     n = linalg._require_square(p, "eigenvector matrix")
     if omega.shape != p.shape:
         raise ValueError(f"shape mismatch: P {p.shape} vs Omega {omega.shape}")
@@ -429,7 +421,7 @@ def eigenvector_condition(
         raise ValueError(f"Omega has a zero entry at ({i}, {j})")
     scale, normalisation = np.ones(n), 0.0
     if v is not None:
-        _require_weights(n, v, w)
+        v, w = _read_weights(n, v, w)
         scale = np.asarray(w, dtype=np.complex128)
         normalisation = np.abs(np.asarray(v) * scale - 1).max()
     return _worst(normalisation, hadamard.ghm_residual((scale / omega) @ p)) <= tol
@@ -443,16 +435,16 @@ def reconstruct_m(omega: Matrix, h: Matrix, lambdas: Sequence[complex]) -> Matri
     condition; H = I returns the plain conjugated diagonal. The spectrum
     of the result is exactly `lambdas`.
     """
-    omega = linalg._finite_matrix(np.asarray(omega, dtype=np.complex128))
-    h = linalg._finite_matrix(np.asarray(h, dtype=np.complex128))
+    omega = linalg._finite_matrix(omega)
+    h = linalg._finite_matrix(h)
     n = linalg._require_square(omega, "master matrix")
     if h.shape != omega.shape:
         raise ValueError(f"shape mismatch: Omega {omega.shape} vs H {h.shape}")
-    lams = [complex(z) for z in lambdas]
+    lams = linalg.json_list(lambdas, "eigenvalue", linalg.finite_complex)
     if len(lams) != n:
         raise ValueError(f"need {n} eigenvalues, got {len(lams)}")
     q = omega.T @ h
-    return q @ linalg.diag(lams) @ linalg.inverse(q)
+    return q @ np.diag(np.array(lams)) @ linalg.inverse(q)
 
 
 def weight_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
@@ -461,7 +453,7 @@ def weight_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
     Raises ValueError unless |alpha| is finite and above n * eps * sum_a
     |v_a w_a|, eps = 2^-52, the rounding bound of the sum.
     """
-    alpha = sum((va * wa for va, wa in zip(v, w)), complex(0.0))
+    alpha = sum((va * wa for va, wa in zip(v, w)), 0j)
     bound = len(v) * 2.0**-52 * sum(abs(va * wa) for va, wa in zip(v, w))
     if not bound < abs(alpha) < np.inf:
         raise ValueError(f"weight overlap alpha = sum(v_a * w_a) must be nonzero and finite: "
@@ -469,12 +461,14 @@ def weight_overlap(v: Sequence[complex], w: Sequence[complex]) -> complex:
     return alpha
 
 
-def _require_weights(n: int, v: Sequence[complex], w: Sequence[complex]) -> None:
+def _read_weights(n: int, v: Sequence[complex], w: Sequence[complex]) -> tuple[tuple, tuple]:
+    v, w = linalg.json_list(v, "v", linalg.finite_complex), linalg.json_list(w, "w", linalg.finite_complex)
     if len(v) != n or len(w) != n:
         raise ValueError(
             f"weights v and w need {n} entries each for a {n}x{n} master matrix, "
             f"got {len(v)} and {len(w)}"
         )
+    return v, w
 
 
 def weighted_hadamard_check(
@@ -492,9 +486,9 @@ def weighted_hadamard_check(
     test. An alpha zero to rounding raises ValueError: the identity then
     says only v o w = 0.
     """
-    omega = linalg.as_matrix(omega)
+    omega = linalg._finite_matrix(omega)
     n = linalg._require_square(omega, "master matrix")
-    _require_weights(n, v, w)
+    v, w = _read_weights(n, v, w)
     alpha = weight_overlap(v, w)
     vw = np.asarray(v, dtype=np.complex128) * np.asarray(w)
     ghm = hadamard.ghm_residual(omega)
@@ -502,7 +496,7 @@ def weighted_hadamard_check(
     normalisation = float(np.abs(vw - 1).max())
     residual = _worst(ghm, spread)
     ok = _worst(residual, normalisation) <= tol
-    return WeightedHadamardCheck(ok, residual, ghm, spread, normalisation)
+    return WeightedHadamardCheck(ok, residual, ghm, spread, normalisation, alpha)
 
 
 # The two printed 9x9 reference generators. Entries lie in {0, 1, w, w^2}

@@ -735,8 +735,8 @@ class TestErrors:
             (["check", "hecke", "--braid"], BRAID | {"q": [None, 0]}, "q must"),
             (["check", "hecke", "--braid"], BRAID | {"q": [float("nan"), 0]}, "q must"),
             (["check", "hecke", "--braid"], BRAID | {"q": [0, 0]}, "q must"),
-            (["gen", "nest", "--stages"], {"stages": [{"p": 2, "g": [None, 0]}]}, "stage 0 g"),
-            (["gen", "nest", "--stages"], {"stages": [{"p": 2.5}]}, "stage 0 p"),
+            (["gen", "nest", "--stages"], {"stages": [{"p": 2, "g": [None, 0]}]}, "stage 0: g 0"),
+            (["gen", "nest", "--stages"], {"stages": [{"p": 2.5}]}, "stage 0: p"),
             (CHM, SCALAR | {"entries": [[1e308, 1e308]]}, "JSON"),
             (
                 ["check", "weighted-hadamard", "--v", "1,nan", "--w", "1,1", "--omega"],
@@ -798,6 +798,8 @@ class TestErrors:
                     (matrix_to_dict(2 * np.eye(2)), [0, 600]),
                 )
             ),
+            # A tolerance that is not a finite number >= 0 is refused before the check runs.
+            *((["check", "chm", "--tol", tol, "--matrix"], SCALAR, "--tol") for tol in ("nan", "inf", "-1")),
         ],
         ids=[
             "ansatz_null_weight", "ansatz_string_weight", "braid_null_q",
@@ -809,7 +811,7 @@ class TestErrors:
             "spectral_samples_memory", "negative_seed", "fourier_size_memory",
             "master_f4_huge_k", "master_f6_huge_k", "master_fourier_huge_n", "butson_huge_q",
             "weighted_zero_overlap", "weighted_overflowing_overlap", "tl_nan_braid_10_200", "tl_nan_braid_10_160",
-            "tl_nan_braid_2_600",
+            "tl_nan_braid_2_600", "tol_nan", "tol_inf", "tol_negative",
         ],
     )
     def test_malformed_input_exits_2(self, capsys, workdir, argv, doc, field):
@@ -1178,8 +1180,10 @@ def test_cli_writes_matrices_through_the_array_payload_only():
     assert "matrix_to_dict(" not in Path(cli.__file__).read_text()
 
 
-def test_non_finite_result_exits_2_with_nothing_written(inputs, tmp_path, capsys):
-    argv = ["check", "chm", "--matrix", str(inputs / "h.json"), "--tol", "inf"]
+def test_non_finite_result_exits_2_with_nothing_written(tmp_path, capsys):
+    # Entries of 1e200 are finite, but u u^dagger overflows: chm_residual is inf.
+    write_matrix(tmp_path / "big.json", as_matrix([[1e200, 1e200], [1e200, -1e200]]))
+    argv = ["check", "chm", "--matrix", str(tmp_path / "big.json")]
     assert run(capsys, *argv)[:2] == (2, "")
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.json"))
     assert (code, out) == (2, "") and err.startswith("error:")

@@ -15,15 +15,38 @@ from hypothesis import strategies as st
 
 import tlhad
 from tlhad import linalg
-from tlhad.hadamard import chm_residual, dephase, f4_family, f6_family, fourier, ghm_residual, root_phases
+from tlhad.baxter import braid_from_tl, check_braid, check_ybe
+from tlhad.hadamard import (
+    EquivalenceMove,
+    apply_equivalence,
+    butson_residual,
+    chm_residual,
+    dephase,
+    dita,
+    f4_family,
+    f6_family,
+    fourier,
+    ghm_residual,
+    root_phases,
+)
 from tlhad.master import (
     f4_master,
     f6_master,
     fourier_master,
     master_matrix,
+    pigeonhole_obstruction,
     search_master_representation,
 )
-from tlhad.tlrep import TLAnsatz, build_local_generator, check_master4, embed, reconstruct_m
+from tlhad.tlrep import (
+    TLAnsatz,
+    build_local_generator,
+    check_master4,
+    eigenvector_condition,
+    embed,
+    reconstruct_m,
+    verify_tl_local,
+    weighted_hadamard_check,
+)
 from tlhad.linalg import (
     SingularMatrixError,
     as_matrix,
@@ -65,31 +88,46 @@ class TestAsMatrix:
             as_matrix([[complex(0, math.nan)]])
 
 
-#: The functions that only read their matrix, each called on a 3x3 input.
+#: The functions that only read their matrix, each with the size of its
+#: input: 3x3, or 4x4 for a two-site operator.
 _F3 = fourier_master(3)
+_MOVE3 = EquivalenceMove((2, 0, 1), (1, 1j, -1), (1, 2, 1), (1, 2, 0))
 READERS = {
-    "ghm_residual": ghm_residual,
-    "chm_residual": chm_residual,
-    "root_phases": lambda u: root_phases(u, 12),
-    "dephase": dephase,
-    "search_master_representation": lambda u: search_master_representation(u, 12, 12),
-    "check_master4": lambda p: check_master4(p, _F3.lambdas, _F3.exponents),
+    "ghm_residual": (3, ghm_residual),
+    "chm_residual": (3, chm_residual),
+    "root_phases": (3, lambda u: root_phases(u, 12)),
+    "dephase": (3, dephase),
+    "search_master_representation": (3, lambda u: search_master_representation(u, 12, 12)),
+    "check_master4": (3, lambda p: check_master4(p, _F3.lambdas, _F3.exponents)),
+    "apply_equivalence": (3, lambda u: apply_equivalence(u, _MOVE3)),
+    "butson_residual": (3, lambda u: butson_residual(u, 12)),
+    "dita_outer": (3, lambda u: dita(u, [fourier(2)] * 3)),
+    "dita_block": (3, lambda u: dita(fourier(2), [u, u])),
+    "pigeonhole_obstruction": (3, pigeonhole_obstruction),
+    "eigenvector_condition_p": (3, lambda p: eigenvector_condition(p, master_matrix(_F3))),
+    "eigenvector_condition_omega": (3, lambda omega: eigenvector_condition(identity(3), omega)),
+    "weighted_hadamard_check": (3, lambda omega: weighted_hadamard_check(omega, (1, 1, 1), (1, 1, 1))),
+    "embed": (4, lambda t: embed(t, 1, 3, 2)),
+    "verify_tl_local": (4, lambda t: verify_tl_local(t, 2, 3)),
+    "braid_from_tl": (4, lambda t: braid_from_tl(t, 2).r_check),
+    "check_braid": (4, check_braid),
+    "check_ybe": (4, check_ybe),
 }
 
 
-@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+@pytest.mark.parametrize("size, read", READERS.values(), ids=READERS)
 class TestReadOnlyInputs:
     """A function that only reads its matrix checks it where it lies."""
 
-    def test_write_protected_input_is_read_and_left_as_it_was(self, read):
-        u = fourier(3) * np.exp(1j * np.arange(3))[:, None]
+    def test_write_protected_input_is_read_and_left_as_it_was(self, size, read):
+        u = fourier(size) * np.exp(1j * np.arange(size))[:, None]
         u.setflags(write=False)
         before = u.tobytes()
         read(u)
         assert u.tobytes() == before and not u.flags.writeable
 
-    def test_nested_lists_read_as_the_array(self, read):
-        u = fourier(3) * np.exp(1j * np.arange(3))
+    def test_nested_lists_read_as_the_array(self, size, read):
+        u = fourier(size) * np.exp(1j * np.arange(size))
         assert repr(read(u.tolist())) == repr(read(u))
 
     @pytest.mark.parametrize(
@@ -97,7 +135,7 @@ class TestReadOnlyInputs:
         [[[1, 2], [3]], [[1, math.nan, 1]] * 3, [1, 1j, -1]],
         ids=["ragged_list", "nan_entry", "one_dimensional"],
     )
-    def test_malformed_input_raises_the_as_matrix_error(self, read, bad):
+    def test_malformed_input_raises_the_as_matrix_error(self, size, read, bad):
         with pytest.raises(ValueError) as expected:
             as_matrix(bad)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):

@@ -807,6 +807,7 @@ class TestWeightedHadamard:
         assert check.max_residual == check.ghm_residual <= 1e-15
         assert check.overlap_spread == 0.0
         assert (check.ok, check.tl_normalisation) == (False, 1.0)
+        assert check.alpha == 6 and type(check.alpha) is complex
 
     def test_zero_overlap_refused(self):
         # v o w = 0 satisfies the identity for any Omega without zero entries.
